@@ -6,7 +6,7 @@ all: build vet test
 
 # CI gate: static checks (including the jxlint invariant analyzers) plus
 # the full suite under the race detector (the ingest worker pool and the
-# parallel stats folds must stay race-clean).
+# parallel shard and tree-reduce folds must stay race-clean).
 check: lint
 	$(GO) vet ./...
 	$(GO) test -race ./...
@@ -95,7 +95,7 @@ bench-stream:
 bench-window:
 	$(GO) run ./cmd/jxbench -table window -json-out results/BENCH_window.json
 
-# Allocation/hot-path benchmark (interning + bitsets + parallel synthesis)
+# Allocation/hot-path benchmark (interning + bitsets)
 # with ratios against the committed PR-1 baseline, written to
 # results/BENCH_hotpath.json.
 bench-hotpath:

@@ -9,7 +9,6 @@ package jxplain
 
 import (
 	"encoding/json"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -349,24 +348,22 @@ func BenchmarkBimaxClustering(b *testing.B) {
 	})
 }
 
-// BenchmarkParallelPathStats compares the sequential pass ① with the
-// partitioned-fold version across worker counts.
-func BenchmarkParallelPathStats(b *testing.B) {
-	types := benchTypes(b, "twitter", 2000)
-	bag := &jsontype.Bag{}
-	for _, t := range types {
-		bag.Add(t)
-	}
-	b.Run("sequential", func(b *testing.B) {
+// BenchmarkPathStatsTrieVsWalk compares pass ①'s two algorithms on one
+// bag: the one-shot walk, and the mergeable trie (fold every type in,
+// then derive).
+func BenchmarkPathStatsTrieVsWalk(b *testing.B) {
+	bag := jsontype.NewBag(benchTypes(b, "twitter", 2000)...)
+	cfg := core.Default()
+	b.Run("walk", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.CollectPathStats(bag, core.Default())
+			core.CollectPathStats(bag, cfg)
 		}
 	})
-	for _, workers := range []int{2, 4} {
-		b.Run(fmt.Sprintf("fold-%dw", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				core.ParallelCollectPathStats(types, workers, core.Default())
-			}
-		})
-	}
+	b.Run("trie", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			s := core.NewPathSketch()
+			s.AddBag(bag)
+			s.Stats(cfg)
+		}
+	})
 }

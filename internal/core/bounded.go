@@ -90,7 +90,7 @@ func (a *Accumulator) statsSketch() *PathSketch {
 	if a.ring == nil {
 		return a.sketch
 	}
-	merged, err := a.ring.rollup(a.sketch, a.cfg.StatsWorkers)
+	merged, err := a.ring.rollup(a.sketch)
 	if err != nil {
 		// The ring holds only bytes this process serialized itself; a
 		// decode failure is memory corruption, not an input condition.

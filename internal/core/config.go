@@ -78,16 +78,6 @@ type Config struct {
 	// paid for a complete second pass; §4.2 observes even a 1% sample is
 	// usually almost perfect). 0 or ≥1 means exact detection.
 	DetectionSample float64
-	// StatsWorkers, when > 1, runs pass ① as a partitioned parallel fold
-	// over mergeable per-path statistics (the Spark execution shape)
-	// instead of the sequential walk. Results are identical.
-	StatsWorkers int
-	// SynthWorkers, when > 1, fans passes ② and ③ out over a bounded
-	// worker pool: partition plans for sibling subtrees are computed
-	// concurrently, and the synthesizer merges sibling child bags in
-	// parallel, assembling results in deterministic (index) order. The
-	// schema is identical to the sequential run.
-	SynthWorkers int
 	// Bounds caps the accumulator's state for unbounded streams. The zero
 	// value keeps the exact (memory ∝ distinct structure) behavior.
 	Bounds Bounds

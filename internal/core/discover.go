@@ -80,13 +80,10 @@ type decider interface {
 
 // synthesizer is the shared schema-construction engine (pass ③): it walks
 // bags top-down, consults the decider, and assembles the schema grammar.
-// With a non-nil pool, sibling subtrees are merged concurrently; results
-// are always combined in index order, so the output schema is identical to
-// the sequential walk. A non-nil memo caches subtree results across Finish
-// calls, keyed by (path, bag content hash).
+// A non-nil memo caches subtree results across Finish calls, keyed by
+// (path, bag content hash).
 type synthesizer struct {
 	dec  decider
-	pool *workPool
 	memo *mergeMemo
 }
 
@@ -95,11 +92,11 @@ func (s *synthesizer) merge(path string, bag *jsontype.Bag) schema.Schema {
 		return s.mergeUncached(path, bag)
 	}
 	key := memoKey{path: path, bag: bagContentHash(bag)}
-	if cached, ok := s.memo.get(key); ok {
+	if cached, ok := s.memo.m[key]; ok {
 		return cached
 	}
 	out := s.mergeUncached(path, bag)
-	s.memo.put(key, out)
+	s.memo.m[key] = out
 	return out
 }
 
@@ -111,24 +108,18 @@ func (s *synthesizer) mergeUncached(path string, bag *jsontype.Bag) schema.Schem
 		if s.dec.arrayDecision(path, arrays) == entropy.Collection {
 			alts = append(alts, s.mergeArrayColl(path, arrays))
 		} else {
-			parts := s.dec.partitionArrays(path, arrays)
-			partAlts := make([]schema.Schema, len(parts))
-			s.pool.forEach(len(parts), func(i int) {
-				partAlts[i] = s.mergeArrayTuple(path, parts[i])
-			})
-			alts = append(alts, partAlts...)
+			for _, part := range s.dec.partitionArrays(path, arrays) {
+				alts = append(alts, s.mergeArrayTuple(path, part))
+			}
 		}
 	}
 	if objects.Len() > 0 {
 		if s.dec.objectDecision(path, objects) == entropy.Collection {
 			alts = append(alts, s.mergeObjectColl(path, objects))
 		} else {
-			parts := s.dec.partitionObjects(path, objects)
-			partAlts := make([]schema.Schema, len(parts))
-			s.pool.forEach(len(parts), func(i int) {
-				partAlts[i] = s.mergeObjectTuple(path, parts[i])
-			})
-			alts = append(alts, partAlts...)
+			for _, part := range s.dec.partitionObjects(path, objects) {
+				alts = append(alts, s.mergeObjectTuple(path, part))
+			}
 		}
 	}
 	return schema.NewUnion(alts...)
@@ -168,12 +159,9 @@ func (s *synthesizer) mergeObjectColl(path string, bag *jsontype.Bag) schema.Sch
 func (s *synthesizer) mergeObjectTuple(path string, bag *jsontype.Bag) schema.Schema {
 	keys, groups, present := bag.GroupByKey()
 	total := bag.Len()
-	fields := make([]schema.FieldSchema, len(keys))
-	s.pool.forEach(len(keys), func(i int) {
-		fields[i] = schema.FieldSchema{Key: keys[i], Schema: s.merge(childKeyPath(path, keys[i]), groups[i])}
-	})
 	var required, optional []schema.FieldSchema
-	for i, f := range fields {
+	for i, key := range keys {
+		f := schema.FieldSchema{Key: key, Schema: s.merge(childKeyPath(path, key), groups[i])}
 		if present[i] == total {
 			required = append(required, f)
 		} else {
@@ -196,9 +184,9 @@ func (s *synthesizer) mergeArrayTuple(path string, bag *jsontype.Bag) schema.Sch
 		minLen = 0
 	}
 	elems := make([]schema.Schema, len(groups))
-	s.pool.forEach(len(groups), func(i int) {
-		elems[i] = s.merge(arrayIndexPath(path, i), groups[i])
-	})
+	for i, g := range groups {
+		elems[i] = s.merge(arrayIndexPath(path, i), g)
+	}
 	return &schema.ArrayTuple{Elems: elems, MinLen: minLen}
 }
 

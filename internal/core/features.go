@@ -72,57 +72,15 @@ func appendFeatures(t *jsontype.Type, rel string, decide subtreeDecision, prune 
 	}
 }
 
-// subtreeDecisions walks a bag exactly like CollectPathStats but with
-// paths relative to the bag's root, returning the decision map feature
+// subtreeDecisions runs the pass-① walk with paths relative to the bag's
+// root ("" is the bag itself), returning the decision map feature
 // extraction needs. This is the extra detection pass the recursive
 // strategy pays at every partition point (the pipeline reuses pass ①
 // instead).
 func subtreeDecisions(bag *jsontype.Bag, cfg Config) map[string]pathDecision {
-	out := map[string]pathDecision{}
-	collectSubtree("", bag, cfg, out)
-	return out
-}
-
-func collectSubtree(rel string, bag *jsontype.Bag, cfg Config, out map[string]pathDecision) {
-	_, arrays, objects := bag.SplitKinds()
-	if arrays.Len() > 0 {
-		decision, _ := entropy.DetectArrays(arrays, cfg.Detection)
-		if !cfg.DetectArrayTuples {
-			decision = entropy.Collection
-		}
-		d := out[rel]
-		d.arr, d.hasArr = decision, true
-		out[rel] = d
-		if decision == entropy.Collection {
-			if elems := arrays.Elements(); elems.Len() > 0 {
-				collectSubtree(arrayElemPath(rel), elems, cfg, out)
-			}
-		} else {
-			groups, _ := arrays.GroupByIndex()
-			for i, g := range groups {
-				collectSubtree(arrayIndexPath(rel, i), g, cfg, out)
-			}
-		}
-	}
-	if objects.Len() > 0 {
-		decision, _ := entropy.DetectObjects(objects, cfg.Detection)
-		if !cfg.DetectObjectCollections {
-			decision = entropy.Tuple
-		}
-		d := out[rel]
-		d.obj, d.hasObj = decision, true
-		out[rel] = d
-		if decision == entropy.Collection {
-			if values := objects.FieldValues(); values.Len() > 0 {
-				collectSubtree(objectValuePath(rel), values, cfg, out)
-			}
-		} else {
-			keys, groups, _ := objects.GroupByKey()
-			for i, key := range keys {
-				collectSubtree(childKeyPath(rel, key), groups[i], cfg, out)
-			}
-		}
-	}
+	var stats []PathStat
+	collectStats("", bag, cfg, &stats)
+	return decisionMap(stats)
 }
 
 // decisionLookup adapts a decision map into a subtreeDecision. Paths

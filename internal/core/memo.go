@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"hash/fnv"
-	"sync"
 
 	"jxplain/internal/jsontype"
 	"jxplain/internal/schema"
@@ -23,7 +22,6 @@ import (
 // epoch hash changes (e.g. new records flipped a tuple/collection decision
 // or re-clustered a partition point).
 type mergeMemo struct {
-	mu    sync.Mutex
 	epoch uint64
 	m     map[memoKey]schema.Schema
 }
@@ -44,19 +42,6 @@ func (mm *mergeMemo) validate(epoch uint64) {
 		mm.epoch = epoch
 		mm.m = map[memoKey]schema.Schema{}
 	}
-}
-
-func (mm *mergeMemo) get(k memoKey) (schema.Schema, bool) {
-	mm.mu.Lock()
-	s, ok := mm.m[k]
-	mm.mu.Unlock()
-	return s, ok
-}
-
-func (mm *mergeMemo) put(k memoKey, s schema.Schema) {
-	mm.mu.Lock()
-	mm.m[k] = s
-	mm.mu.Unlock()
 }
 
 // mix64 is the splitmix64 finalizer — used to whiten per-element hashes

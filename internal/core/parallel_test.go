@@ -4,12 +4,18 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"jxplain/internal/dataset"
 	"jxplain/internal/entity"
 	"jxplain/internal/jsontype"
-	"jxplain/internal/schema"
 )
+
+// Pass ① has two algorithms: the one-shot bag walk (CollectPathStats,
+// subtreeDecisions) and the mergeable trie (PathSketch). The tests here
+// pin them to each other, the trie both built whole and built as k
+// contiguous parts folded with Merge — the shape of a partitioned job.
 
 func pathStatsEqual(a, b []PathStat) string {
 	if len(a) != len(b) {
@@ -29,25 +35,59 @@ func pathStatsEqual(a, b []PathStat) string {
 	return ""
 }
 
+// checkTrieMatchesWalk compares the trie's statistics, whole and as a
+// k-part Merge fold over the record stream, against the walk, and the
+// trie's decisions derived at "" against subtreeDecisions.
+func checkTrieMatchesWalk(t *testing.T, label string, types []*jsontype.Type, cfg Config, k int) {
+	t.Helper()
+	bag := bagOf(types)
+	walk := CollectPathStats(bag, cfg)
+
+	whole := NewPathSketch()
+	for _, typ := range types {
+		whole.Add(typ)
+	}
+	if diff := pathStatsEqual(walk, whole.Stats(cfg)); diff != "" {
+		t.Errorf("%s: whole trie diverges from walk: %s", label, diff)
+	}
+
+	folded := NewPathSketch()
+	for p := 0; p < k; p++ {
+		part := NewPathSketch()
+		for _, typ := range types[p*len(types)/k : (p+1)*len(types)/k] {
+			part.Add(typ)
+		}
+		folded.Merge(part)
+	}
+	if diff := pathStatsEqual(walk, folded.Stats(cfg)); diff != "" {
+		t.Errorf("%s: %d-part fold diverges from walk: %s", label, k, diff)
+	}
+
+	var rel []PathStat
+	whole.root.derive("", cfg, &rel)
+	if got, want := decisionMap(rel), subtreeDecisions(bag, cfg); !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: trie decisions at \"\" diverge from subtreeDecisions:\n%v\n%v", label, got, want)
+	}
+}
+
+// expand lists every occurrence of the bag's types.
+func expand(bag *jsontype.Bag) []*jsontype.Type {
+	var types []*jsontype.Type
+	bag.Each(func(typ *jsontype.Type, n int) {
+		for i := 0; i < n; i++ {
+			types = append(types, typ)
+		}
+	})
+	return types
+}
+
 func TestParallelPathStatsMatchesSequential(t *testing.T) {
 	bag := bagFrom(t,
 		`{"ts":7,"event":"login","user":{"name":"bob","geo":[1.1,2.2]}}`,
 		`{"ts":8,"event":"serve","files":["a.txt","b.txt"]}`,
 		`{"ts":9,"event":"login","user":{"name":"eve","geo":[3.0,4.5]}}`,
 	)
-	seq := CollectPathStats(bag, Default())
-	par := ParallelCollectPathStats(bag.Types(), 3, Default())
-	// bag.Types() is deduplicated; rebuild the full slice for fairness.
-	var types []*jsontype.Type
-	bag.Each(func(ty *jsontype.Type, n int) {
-		for i := 0; i < n; i++ {
-			types = append(types, ty)
-		}
-	})
-	par = ParallelCollectPathStats(types, 3, Default())
-	if diff := pathStatsEqual(seq, par); diff != "" {
-		t.Errorf("parallel diverges: %s", diff)
-	}
+	checkTrieMatchesWalk(t, "events", expand(bag), Default(), 3)
 }
 
 func TestParallelPathStatsCollectionMerging(t *testing.T) {
@@ -57,16 +97,8 @@ func TestParallelPathStatsCollectionMerging(t *testing.T) {
 		src := fmt.Sprintf(`{"m":{"k%d":{"inner":1},"k%d":{"inner":2}}}`, i%31, (i+9)%31)
 		types = append(types, ty(t, src))
 	}
-	bag := &jsontype.Bag{}
-	for _, typ := range types {
-		bag.Add(typ)
-	}
-	seq := CollectPathStats(bag, Default())
-	for _, workers := range []int{1, 2, 5, 16} {
-		par := ParallelCollectPathStats(types, workers, Default())
-		if diff := pathStatsEqual(seq, par); diff != "" {
-			t.Errorf("workers=%d: %s", workers, diff)
-		}
+	for _, k := range []int{1, 2, 5, 16} {
+		checkTrieMatchesWalk(t, fmt.Sprintf("k=%d", k), types, Default(), k)
 	}
 }
 
@@ -78,15 +110,7 @@ func TestParallelPathStatsRandom(t *testing.T) {
 		for i := 0; i < n; i++ {
 			types = append(types, randomRecord(r))
 		}
-		bag := &jsontype.Bag{}
-		for _, typ := range types {
-			bag.Add(typ)
-		}
-		seq := CollectPathStats(bag, Default())
-		par := ParallelCollectPathStats(types, 1+r.Intn(7), Default())
-		if diff := pathStatsEqual(seq, par); diff != "" {
-			t.Fatalf("trial %d: %s", trial, diff)
-		}
+		checkTrieMatchesWalk(t, fmt.Sprintf("trial %d", trial), types, Default(), 1+r.Intn(7))
 	}
 }
 
@@ -122,31 +146,17 @@ func randomRecord(r *rand.Rand) *jsontype.Type {
 	return jsontype.MustFromValue(rec)
 }
 
-func TestPipelineWithStatsWorkers(t *testing.T) {
-	bag := bagFrom(t,
-		`{"ts":7,"event":"login","user":{"name":"bob","geo":[1.1,2.2]}}`,
-		`{"ts":8,"event":"serve","files":["a.txt","b.txt"]}`,
-		`{"m":{"k1":1,"k2":2}}`,
-	)
-	serial := Pipeline(bag, Default())
-	cfg := Default()
-	cfg.StatsWorkers = 4
-	parallel := Pipeline(bag, cfg)
-	if !schema.Equal(schema.Simplify(serial), schema.Simplify(parallel)) {
-		t.Errorf("parallel pass ① changed the schema:\n%s\n%s", serial, parallel)
-	}
-}
-
-func TestParallelCollectPathStatsBagMatches(t *testing.T) {
+func TestPathSketchAddBagMatchesWalk(t *testing.T) {
 	bag := &jsontype.Bag{}
 	bag.AddN(ty(t, `{"a":1,"b":"x"}`), 7)
 	bag.AddN(ty(t, `{"a":2}`), 3)
 	bag.Add(ty(t, `{"c":[1,2,3]}`))
-	seq := CollectPathStats(bag, Default())
-	par := ParallelCollectPathStatsBag(bag, 3, Default())
-	if diff := pathStatsEqual(seq, par); diff != "" {
-		t.Errorf("bag variant diverges: %s", diff)
+	s := NewPathSketch()
+	s.AddBag(bag)
+	if diff := pathStatsEqual(CollectPathStats(bag, Default()), s.Stats(Default())); diff != "" {
+		t.Errorf("AddBag diverges from walk: %s", diff)
 	}
+	checkTrieMatchesWalk(t, "weighted", expand(bag), Default(), 3)
 }
 
 func TestBuildFeatureSetDirect(t *testing.T) {
@@ -179,72 +189,48 @@ func TestBuildFeatureSetDirect(t *testing.T) {
 }
 
 func TestParallelPathStatsEmptyAndPrimitive(t *testing.T) {
-	if got := ParallelCollectPathStats(nil, 4, Default()); len(got) != 0 {
+	if got := NewPathSketch().Stats(Default()); len(got) != 0 {
 		t.Error("no records → no stats")
 	}
 	prim := []*jsontype.Type{jsontype.Number, jsontype.String}
-	if got := ParallelCollectPathStats(prim, 2, Default()); len(got) != 0 {
+	s := NewPathSketch()
+	for _, typ := range prim {
+		s.Add(typ)
+	}
+	if got := s.Stats(Default()); len(got) != 0 {
 		t.Error("primitive-only records have no complex paths")
 	}
+	checkTrieMatchesWalk(t, "empty", nil, Default(), 2)
+	checkTrieMatchesWalk(t, "primitive", prim, Default(), 2)
+}
+
+// trieWalkConfigs are the configurations the equivalence suite runs
+// under; the detection-disabled ones must agree too.
+var trieWalkConfigs = []struct {
+	name string
+	cfg  Config
+}{
+	{"default", Default()},
+	{"k-reduce", KReduceConfig()},
+	{"bimax-naive", BimaxNaiveConfig()},
 }
 
 func TestParallelPathStatsOnDatasetShapes(t *testing.T) {
-	// The detection-disabled configs must also agree.
-	cfgs := []Config{Default(), KReduceConfig(), BimaxNaiveConfig()}
 	bag := bagFrom(t,
 		`{"a":{"x":1},"b":[[1,2],[3,4]],"c":"s"}`,
 		`{"a":{"y":2},"b":[[5,6]],"c":"t"}`,
 		`{"a":{"z":3},"b":[],"d":null}`,
 	)
-	var types []*jsontype.Type
-	bag.Each(func(typ *jsontype.Type, n int) {
-		for i := 0; i < n; i++ {
-			types = append(types, typ)
-		}
-	})
-	for _, cfg := range cfgs {
-		seq := CollectPathStats(bag, cfg)
-		par := ParallelCollectPathStats(types, 4, cfg)
-		if diff := pathStatsEqual(seq, par); diff != "" {
-			t.Errorf("cfg %v: %s", cfg.Partition, diff)
-		}
+	for _, c := range trieWalkConfigs {
+		checkTrieMatchesWalk(t, c.name, expand(bag), c.cfg, 4)
 	}
 }
 
-func TestEffectiveWorkersCutover(t *testing.T) {
-	cases := []struct{ workers, distinct, want int }{
-		{8, 0, 1},
-		{8, parallelCutover - 1, 1},
-		{8, parallelCutover, 8},
-		{8, parallelCutover + 1, 8},
-		{1, parallelCutover, 1},
-		{0, parallelCutover - 1, 1},
-	}
-	for _, c := range cases {
-		if got := effectiveWorkers(c.workers, c.distinct); got != c.want {
-			t.Errorf("effectiveWorkers(%d, %d) = %d, want %d", c.workers, c.distinct, got, c.want)
+func TestPathStatsTrieMatchesWalkOnRegistry(t *testing.T) {
+	for _, g := range dataset.Registry() {
+		types := dataset.Types(g.Generate(300, 1))
+		for _, c := range trieWalkConfigs {
+			checkTrieMatchesWalk(t, g.Name+"/"+c.name, types, c.cfg, 3)
 		}
-	}
-}
-
-func TestPipelineParallelAboveCutoverMatchesSequential(t *testing.T) {
-	// Enough distinct record types to clear the cutover, so the
-	// config-driven parallel paths genuinely fan out and must still
-	// produce the byte-identical schema.
-	if testing.Short() {
-		t.Skip("builds a bag above the parallel cutover")
-	}
-	bag := &jsontype.Bag{}
-	for i := 0; i < parallelCutover+16; i++ {
-		src := fmt.Sprintf(`{"id":%d,"v%d":1}`, i, i%5000)
-		bag.Add(ty(t, src))
-	}
-	serial := Pipeline(bag, Default())
-	cfg := Default()
-	cfg.StatsWorkers = 4
-	cfg.SynthWorkers = 4
-	parallel := Pipeline(bag, cfg)
-	if !schema.Equal(serial, parallel) {
-		t.Error("parallel synthesis above the cutover changed the schema")
 	}
 }

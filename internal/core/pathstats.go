@@ -26,16 +26,28 @@ type PathStat struct {
 // every complex-kinded path. Descent follows the decisions: below a
 // detected collection all elements share one wildcard path; below tuples
 // each key (or index) gets its own path. Results are sorted by path.
+//
+// PathSketch.Stats derives the same rows from a mergeable trie. The two
+// are kept side by side on purpose: the trie is what exact streaming,
+// windows and the wire format need, while this one-shot walk is cheaper
+// for a bag seen once — sampled detection here, and the per-partition
+// decisions of the recursive Discover (subtreeDecisions).
 func CollectPathStats(bag *jsontype.Bag, cfg Config) []PathStat {
 	var out []PathStat
 	collectStats(RootPath, bag, cfg, &out)
+	sortPathStats(out)
+	return out
+}
+
+// sortPathStats orders pass-① rows by path, then kind — the order both
+// the walk and the trie derivation report.
+func sortPathStats(out []PathStat) {
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Path != out[j].Path {
 			return out[i].Path < out[j].Path
 		}
 		return out[i].Kind < out[j].Kind
 	})
-	return out
 }
 
 func collectStats(path string, bag *jsontype.Bag, cfg Config, out *[]PathStat) {
@@ -76,24 +88,4 @@ func collectStats(path string, bag *jsontype.Bag, cfg Config, out *[]PathStat) {
 			}
 		}
 	}
-}
-
-// CollectionPaths returns the set of paths pass ① marks as collections,
-// keyed by path string with the kind recorded alongside (a path can host
-// both object and array values; they are tracked independently).
-func CollectionPaths(stats []PathStat) map[string][2]bool {
-	out := map[string][2]bool{}
-	for _, st := range stats {
-		if st.Decision != entropy.Collection {
-			continue
-		}
-		entry := out[st.Path]
-		if st.Kind == jsontype.KindArray {
-			entry[0] = true
-		} else {
-			entry[1] = true
-		}
-		out[st.Path] = entry
-	}
-	return out
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"sync"
 
 	"jxplain/internal/entropy"
 	"jxplain/internal/jsontype"
@@ -119,11 +118,7 @@ func (a *Accumulator) AddBag(chunk *jsontype.Bag) {
 		a.bag.Merge(chunk)
 	}
 	if a.sketch != nil {
-		if w := effectiveWorkers(a.cfg.StatsWorkers, chunk.Distinct()); w > 1 {
-			a.sketch.Merge(sketchFromBag(chunk, w))
-		} else {
-			a.sketch.AddBag(chunk)
-		}
+		a.sketch.AddBag(chunk)
 	}
 	a.advance(n)
 }
@@ -197,11 +192,7 @@ func (a *Accumulator) Stats() []PathStat {
 	if a.sketch != nil {
 		return a.statsSketch().Stats(a.cfg)
 	}
-	statsBag := SampleBag(a.unionBag(), a.cfg.DetectionSample, a.cfg.Seed)
-	if w := effectiveWorkers(a.cfg.StatsWorkers, statsBag.Distinct()); w > 1 {
-		return ParallelCollectPathStatsBag(statsBag, w, a.cfg)
-	}
-	return CollectPathStats(statsBag, a.cfg)
+	return CollectPathStats(SampleBag(a.unionBag(), a.cfg.DetectionSample, a.cfg.Seed), a.cfg)
 }
 
 // Finish runs passes ② and ③ over the accumulated collection and returns
@@ -215,12 +206,10 @@ func (a *Accumulator) Finish() schema.Schema {
 // synthesize runs passes ② and ③ over the full bag, consulting the
 // precomputed pass-① statistics. memo may be nil (no caching).
 func synthesize(bag *jsontype.Bag, stats []PathStat, cfg Config, memo *mergeMemo) schema.Schema {
-	pool := newWorkPool(effectiveWorkers(cfg.SynthWorkers, bag.Distinct()))
 	dec := &pipelineDecider{
 		cfg:       cfg,
 		decisions: decisionMap(stats),
 		plans:     map[string]*partitionPlan{},
-		pool:      pool,
 	}
 	dec.collectPlans(RootPath, bag) // pass ②
 	if memo != nil {
@@ -228,7 +217,7 @@ func synthesize(bag *jsontype.Bag, stats []PathStat, cfg Config, memo *mergeMemo
 		// shaped its entries still hold; a changed epoch drops the cache.
 		memo.validate(dec.epochHash())
 	}
-	s := &synthesizer{dec: dec, pool: pool, memo: memo}
+	s := &synthesizer{dec: dec, memo: memo}
 	return s.merge(RootPath, bag) // pass ③
 }
 
@@ -315,13 +304,7 @@ func keySetCanon(names []string) string {
 type pipelineDecider struct {
 	cfg       Config
 	decisions map[string]pathDecision
-	pool      *workPool
-
-	// mu guards plans during the concurrent pass-② walk and the
-	// plan.assign fallback writes during pass ③; decisions is read-only
-	// after construction.
-	mu    sync.Mutex
-	plans map[string]*partitionPlan
+	plans     map[string]*partitionPlan
 }
 
 func (d *pipelineDecider) arrayDecision(path string, arrays *jsontype.Bag) entropy.Decision {
@@ -375,22 +358,15 @@ func (d *pipelineDecider) partitionWithPlan(planKey string, bag *jsontype.Bag, k
 	if d.cfg.Partition == SingleEntity || d.cfg.Partition == PerKeySet {
 		return partitionBag(bag, keySetOf, d.cfg)
 	}
-	d.mu.Lock()
 	plan := d.plans[planKey]
-	d.mu.Unlock()
 	if plan == nil {
 		// Unreached in normal operation.
 		return partitionBag(bag, keySetOf, d.cfg)
 	}
-	// Feature extraction is the expensive part; do it outside the lock.
-	canons := make([]string, bag.Distinct())
-	for ti, t := range bag.Types() {
-		canons[ti] = keySetCanon(keySetOf(t))
-	}
 	assignment := make([]int, bag.Distinct())
-	d.mu.Lock()
 	next := plan.n
-	for ti, c := range canons {
+	for ti, t := range bag.Types() {
+		c := keySetCanon(keySetOf(t))
 		cluster, ok := plan.assign[c]
 		if !ok {
 			// A key set unseen in pass ② (possible only if the data changed
@@ -401,7 +377,6 @@ func (d *pipelineDecider) partitionWithPlan(planKey string, bag *jsontype.Bag, k
 		}
 		assignment[ti] = cluster
 	}
-	d.mu.Unlock()
 	typesBySet := make([][]int, bag.Distinct())
 	for i := range typesBySet {
 		typesBySet[i] = []int{i}
@@ -410,49 +385,35 @@ func (d *pipelineDecider) partitionWithPlan(planKey string, bag *jsontype.Bag, k
 }
 
 // collectPlans is pass ②: walk the data along the pass-① decisions and,
-// at every tuple path, precompute the key-set → entity assignment. Child
-// subtrees are independent, so with a pool they are walked concurrently —
-// entity discovery (Bimax clustering inside buildPlan) dominates pass-②
-// cost and every partition point gets its own private key-set dictionary,
-// so the fan-out shares nothing but the plans map.
+// at every tuple path, precompute the key-set → entity assignment.
 func (d *pipelineDecider) collectPlans(path string, bag *jsontype.Bag) {
 	_, arrays, objects := bag.SplitKinds()
-
-	type child struct {
-		path string
-		bag  *jsontype.Bag
-	}
-	var children []child
-
 	if arrays.Len() > 0 {
 		if d.arrayDecision(path, arrays) == entropy.Collection {
 			if elems := arrays.Elements(); elems.Len() > 0 {
-				children = append(children, child{arrayElemPath(path), elems})
+				d.collectPlans(arrayElemPath(path), elems)
 			}
 		} else {
 			d.buildPlan("A:"+path, arrays, d.featureKeySet(path))
 			groups, _ := arrays.GroupByIndex()
 			for i, g := range groups {
-				children = append(children, child{arrayIndexPath(path, i), g})
+				d.collectPlans(arrayIndexPath(path, i), g)
 			}
 		}
 	}
 	if objects.Len() > 0 {
 		if d.objectDecision(path, objects) == entropy.Collection {
 			if values := objects.FieldValues(); values.Len() > 0 {
-				children = append(children, child{objectValuePath(path), values})
+				d.collectPlans(objectValuePath(path), values)
 			}
 		} else {
 			d.buildPlan("O:"+path, objects, d.featureKeySet(path))
 			keys, groups, _ := objects.GroupByKey()
 			for i, key := range keys {
-				children = append(children, child{childKeyPath(path, key), groups[i]})
+				d.collectPlans(childKeyPath(path, key), groups[i])
 			}
 		}
 	}
-	d.pool.forEach(len(children), func(i int) {
-		d.collectPlans(children[i].path, children[i].bag)
-	})
 }
 
 func (d *pipelineDecider) buildPlan(planKey string, bag *jsontype.Bag, keySetOf func(*jsontype.Type) []string) {
@@ -469,7 +430,5 @@ func (d *pipelineDecider) buildPlan(planKey string, bag *jsontype.Bag, keySetOf 
 			plan.n = cluster + 1
 		}
 	}
-	d.mu.Lock()
 	d.plans[planKey] = plan
-	d.mu.Unlock()
 }

@@ -116,22 +116,6 @@ func TestCollectPathStatsSorted(t *testing.T) {
 	}
 }
 
-func TestCollectionPathsHelper(t *testing.T) {
-	bag := &jsontype.Bag{}
-	for i := 0; i < 30; i++ {
-		bag.Add(ty(t, fmt.Sprintf(`{"m":{"k%d":1,"k%d":2},"geo":[1.0,2.0]}`, i%19, (i+5)%19)))
-	}
-	stats := CollectPathStats(bag, Default())
-	colls := CollectionPaths(stats)
-	entry, ok := colls["$.m"]
-	if !ok || !entry[1] {
-		t.Errorf("$.m should be an object collection: %v", colls)
-	}
-	if _, ok := colls["$.geo"]; ok {
-		t.Error("$.geo is a tuple, not a collection")
-	}
-}
-
 func TestPathEscapingNoAliasing(t *testing.T) {
 	// {"a.b": 𝕊-collection candidates} and {"a": {"b": …}} must not share
 	// decision-map entries.

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"jxplain/internal/dist"
-	"jxplain/internal/jsontype"
-)
+import "jxplain/internal/jsontype"
 
 // PathSketch is the mergeable pass-① state: the per-path statistics
 // Algorithm 5 needs (record and key-presence counters, array-length
@@ -82,25 +79,9 @@ func (s *PathSketch) Nodes() int { return s.root.nodeCount() }
 // into one wildcard child, reproducing the paths the sequential walk
 // visits. Deriving does not consume the sketch; more records may be added
 // and Stats called again.
-func (s *PathSketch) Stats(cfg Config) []PathStat { return deriveStats(s.root, cfg) }
-
-// sketchFromBag builds a sketch over the bag, folding in parallel across
-// workers when asked (workers <= 1 folds sequentially).
-func sketchFromBag(bag *jsontype.Bag, workers int) *PathSketch {
-	if workers <= 1 || bag.Distinct() < 2 {
-		s := NewPathSketch()
-		s.AddBag(bag)
-		return s
-	}
-	idx := make([]int, bag.Distinct())
-	for i := range idx {
-		idx[i] = i
-	}
-	return dist.Fold(idx, workers,
-		NewPathSketch,
-		func(s *PathSketch, i int) *PathSketch {
-			s.AddN(bag.Types()[i], bag.Count(i))
-			return s
-		},
-		func(a, b *PathSketch) *PathSketch { a.Merge(b); return a })
+func (s *PathSketch) Stats(cfg Config) []PathStat {
+	var out []PathStat
+	s.root.derive(RootPath, cfg, &out)
+	sortPathStats(out)
+	return out
 }

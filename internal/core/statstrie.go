@@ -14,8 +14,8 @@ import (
 // counts add, length histograms add, the similar-types constraint combines
 // through the subsumption rule — which is what lets per-chunk tries fold
 // into exactly the statistics one pass over the whole collection would
-// have produced (see parallel.go for the fold, wire.go for the
-// serialized form).
+// have produced (see PathSketch for the fold, wire.go for the serialized
+// form).
 //
 // Node state is deliberately enumerable, not just walkable: the each*
 // iterators expose every counter in a deterministic order and the set*

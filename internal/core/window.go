@@ -47,11 +47,11 @@ func (g *sketchRing) push(data []byte) {
 }
 
 // rollup merges the retained windows and the live epoch into one sketch.
-// The closed windows reduce as a balanced tree over the worker pool; the
-// live epoch is folded in last through combineShared, treating it as
+// The closed windows reduce as a balanced tree over one worker per core;
+// the live epoch is folded in last through combineShared, treating it as
 // immutable so the accumulator can keep appending to it afterwards.
-func (g *sketchRing) rollup(live *PathSketch, workers int) (*PathSketch, error) {
-	merged, err := ReducePathSketches(g.windows, workers)
+func (g *sketchRing) rollup(live *PathSketch) (*PathSketch, error) {
+	merged, err := ReducePathSketches(g.windows, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -1,9 +1,6 @@
 package entity
 
-import (
-	"sort"
-	"sync"
-)
+import "sort"
 
 // Cluster is one discovered entity: a group of input key sets together
 // with its maximal element (the union of all member key sets — for
@@ -246,97 +243,6 @@ func Transpose(sets []KeySet, dim int) []KeySet {
 		}
 	}
 	return cols
-}
-
-// TransposeParallel is Transpose fanned out over workers. Row stripes are
-// aligned to 64-row boundaries, so each worker writes a disjoint word
-// range of every column bitset and the shared column storage needs no
-// locks; a first (parallel) presence pass determines which columns are
-// non-empty so storage is allocated exactly as the serial walk would.
-// Output is identical to Transpose.
-//
-//jx:pool stripes are 64-row aligned, so workers write disjoint words of each column
-func TransposeParallel(sets []KeySet, dim, workers int) []KeySet {
-	stripes := transposeStripes(len(sets), workers)
-	if len(stripes) <= 1 {
-		return Transpose(sets, dim)
-	}
-	// Pass 1: which columns does each stripe touch?
-	present := make([][]bool, len(stripes))
-	var wg sync.WaitGroup
-	for si, st := range stripes {
-		wg.Add(1)
-		go func(si int, lo, hi int) {
-			defer wg.Done()
-			p := make([]bool, dim)
-			for _, ks := range sets[lo:hi] {
-				ks.Each(func(id int) {
-					if id < dim {
-						p[id] = true
-					}
-				})
-			}
-			present[si] = p
-		}(si, st[0], st[1])
-	}
-	wg.Wait()
-
-	words := (len(sets) + wordBits - 1) / wordBits
-	cols := make([]KeySet, dim)
-	for id := 0; id < dim; id++ {
-		for _, p := range present {
-			if p[id] {
-				cols[id] = make(KeySet, words)
-				break
-			}
-		}
-	}
-	// Pass 2: fill. Stripe s writes only words [lo/64, hi/64) of each
-	// column — disjoint across stripes by the 64-row alignment.
-	for _, st := range stripes {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for ri := lo; ri < hi; ri++ {
-				sets[ri].Each(func(id int) {
-					if id < dim {
-						cols[id][ri/wordBits] |= 1 << (uint(ri) % wordBits)
-					}
-				})
-			}
-		}(st[0], st[1])
-	}
-	wg.Wait()
-	for i, c := range cols {
-		if c == nil {
-			cols[i] = KeySet{}
-		} else {
-			cols[i] = c.trim()
-		}
-	}
-	return cols
-}
-
-// transposeStripes splits n rows into up to `workers` stripes aligned to
-// 64-row boundaries (so stripes own disjoint bitset words).
-func transposeStripes(n, workers int) [][2]int {
-	if workers < 1 {
-		workers = 1
-	}
-	per := (n + workers - 1) / workers
-	per = (per + wordBits - 1) / wordBits * wordBits
-	if per < wordBits {
-		per = wordBits
-	}
-	var stripes [][2]int
-	for lo := 0; lo < n; lo += per {
-		hi := lo + per
-		if hi > n {
-			hi = n
-		}
-		stripes = append(stripes, [2]int{lo, hi})
-	}
-	return stripes
 }
 
 // BimaxColumns returns the feature ids in Bimax order: features whose

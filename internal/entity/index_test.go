@@ -203,53 +203,6 @@ func TestFindCoverIndexedMatchesRef(t *testing.T) {
 	}
 }
 
-func TestTransposeParallelMatchesSerial(t *testing.T) {
-	r := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 30; trial++ {
-		sets := randomBag(r, r.Intn(300))
-		dim := 0
-		for _, s := range sets {
-			if n := len(s) * wordBits; n > dim {
-				dim = n
-			}
-		}
-		dim += r.Intn(5) // some trailing never-present columns
-		serial := Transpose(sets, dim)
-		for _, workers := range []int{0, 1, 2, 4, 7} {
-			par := TransposeParallel(sets, dim, workers)
-			if len(par) != len(serial) {
-				t.Fatalf("workers=%d: %d cols, want %d", workers, len(par), len(serial))
-			}
-			for c := range serial {
-				if !serial[c].Equal(par[c]) {
-					t.Fatalf("workers=%d col %d: %v != %v", workers, c, par[c], serial[c])
-				}
-			}
-		}
-	}
-}
-
-func TestTransposeStripesAligned(t *testing.T) {
-	for _, n := range []int{0, 1, 63, 64, 65, 1000} {
-		for _, w := range []int{1, 2, 3, 8} {
-			stripes := transposeStripes(n, w)
-			covered := 0
-			for i, st := range stripes {
-				if st[0]%wordBits != 0 {
-					t.Fatalf("n=%d w=%d stripe %d starts at %d (unaligned)", n, w, i, st[0])
-				}
-				if st[0] != covered {
-					t.Fatalf("n=%d w=%d stripe %d gap", n, w, i)
-				}
-				covered = st[1]
-			}
-			if n > 0 && covered != n {
-				t.Fatalf("n=%d w=%d covered %d", n, w, covered)
-			}
-		}
-	}
-}
-
 func BenchmarkBimaxNaive(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	sets := randomBag(r, 2000)

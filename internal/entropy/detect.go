@@ -148,8 +148,8 @@ func DetectArrays(bag *jsontype.Bag, cfg Config) (Decision, Evidence) {
 
 // Decide applies the threshold logic of Algorithm 5 to already-computed
 // evidence. Exposed so alternative statistics collectors (e.g. the
-// parallel fold of core.ParallelCollectPathStats) reach exactly the same
-// decisions as DetectObjects / DetectArrays.
+// mergeable trie behind core.PathSketch) reach exactly the same decisions
+// as DetectObjects / DetectArrays.
 func Decide(ev Evidence, cfg Config) Decision {
 	return decide(ev, cfg, ev.Records)
 }

@@ -33,10 +33,8 @@ type EntityRow struct {
 	// Speedup is NaiveNs / IndexedNs.
 	Speedup float64 `json:"speedup"`
 
-	// TransposeNs and TransposeParNs measure the column transpose used by
-	// BimaxColumns, serial vs striped-parallel.
-	TransposeNs    float64 `json:"transpose_ns"`
-	TransposeParNs float64 `json:"transpose_par_ns"`
+	// TransposeNs measures the column transpose used by BimaxColumns.
+	TransposeNs float64 `json:"transpose_ns"`
 
 	// Clusters is the entity count after GreedyMerge; ClustersEqual
 	// confirms the reference and indexed pipelines emitted identical
@@ -137,23 +135,9 @@ func entityBenchCell(g *dataset.Generator, o Options, mult int) (EntityRow, erro
 	row.WeightsOK = total == len(sets)
 
 	dim := dict.Len()
-	var serialCols, parCols []entity.KeySet
 	row.TransposeNs = minDuration(o.Trials, func() {
-		serialCols = entity.Transpose(w.Sets, dim)
+		entity.Transpose(w.Sets, dim)
 	})
-	row.TransposeParNs = minDuration(o.Trials, func() {
-		parCols = entity.TransposeParallel(w.Sets, dim, runtime.GOMAXPROCS(0))
-	})
-	if len(serialCols) != len(parCols) {
-		row.ClustersEqual = false
-	} else {
-		for c := range serialCols {
-			if !serialCols[c].Equal(parCols[c]) {
-				row.ClustersEqual = false
-				break
-			}
-		}
-	}
 	return row, nil
 }
 
@@ -196,7 +180,7 @@ func (r *EntityBenchResult) table() *table {
 	t := &table{
 		title: "Entity discovery scaling: weighted dedup + posting-index Bimax/GreedyMerge",
 		headers: []string{"dataset", "records", "distinct", "dedup",
-			"naive ms", "indexed ms", "speedup", "transpose µs", "par µs", "clusters", "equal"},
+			"naive ms", "indexed ms", "speedup", "transpose µs", "clusters", "equal"},
 	}
 	for _, row := range r.Rows {
 		t.addRow(row.Dataset,
@@ -207,7 +191,6 @@ func (r *EntityBenchResult) table() *table {
 			fmt.Sprintf("%.1f", row.IndexedNs/1e6),
 			fmt.Sprintf("%.1fx", row.Speedup),
 			fmt.Sprintf("%.0f", row.TransposeNs/1e3),
-			fmt.Sprintf("%.0f", row.TransposeParNs/1e3),
 			fmt.Sprintf("%d", row.Clusters),
 			fmt.Sprintf("%v", row.ClustersEqual && row.WeightsOK))
 	}

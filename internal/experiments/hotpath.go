@@ -35,32 +35,18 @@ type HotpathRow struct {
 	DistinctTypes int    `json:"distinct_types"`
 	InputBytes    int    `json:"input_bytes"`
 
-	// Sequential run (SynthWorkers=0), directly comparable to the PR-1
-	// baseline captured with the same op and iteration count.
+	// Measured op, directly comparable to the PR-1 baseline captured with
+	// the same op and iteration count.
 	NsPerOp       float64 `json:"ns_per_op"`
 	AllocsPerOp   float64 `json:"allocs_per_op"`
 	BytesPerOp    float64 `json:"bytes_per_op"`
 	PeakHeapBytes uint64  `json:"peak_heap_bytes"`
 
-	// Parallel run (StatsWorkers and SynthWorkers = GOMAXPROCS). When the
-	// parallel configuration degenerates to the sequential path — a
-	// single-CPU box, or a dataset below core's parallel cutover — the row
-	// reports the sequential measurement and sets ParSequential: the two
-	// configs execute identical code there, and re-measuring it would
-	// publish run-to-run jitter as a phantom parallel delta.
-	ParNsPerOp    float64 `json:"par_ns_per_op"`
-	ParSequential bool    `json:"par_sequential,omitempty"`
-
-	// SchemasEqual confirms sequential and parallel synthesis produced the
-	// byte-identical schema.
-	SchemasEqual bool `json:"schemas_equal"`
-
 	// Ratios against the PR-1 baseline (0 when no baseline file).
 	BaselineNsPerOp     float64 `json:"baseline_ns_per_op,omitempty"`
 	BaselineAllocsPerOp float64 `json:"baseline_allocs_per_op,omitempty"`
 	AllocReduction      float64 `json:"alloc_reduction,omitempty"` // baseline allocs / current allocs
-	SpeedupSeq          float64 `json:"speedup_seq,omitempty"`     // baseline ns / sequential ns
-	SpeedupPar          float64 `json:"speedup_par,omitempty"`     // baseline ns / parallel ns
+	SpeedupSeq          float64 `json:"speedup_seq,omitempty"`     // baseline ns / current ns
 }
 
 // HotpathResult is the full hot-path benchmark (BENCH_hotpath.json).
@@ -71,8 +57,8 @@ type HotpathResult struct {
 	Rows    []HotpathRow `json:"rows"`
 }
 
-// RunHotpath measures the allocation-free hot path — interned types,
-// bitset key sets, parallel synthesis — over the configured datasets and,
+// RunHotpath measures the allocation-free hot path — interned types and
+// bitset key sets — over the configured datasets and,
 // when the committed PR-1 baseline is available, reports the improvement
 // ratios.
 func RunHotpath(o Options) (*HotpathResult, error) {
@@ -82,19 +68,17 @@ func RunHotpath(o Options) (*HotpathResult, error) {
 		return nil, err
 	}
 	baseline := loadHotpathBaseline()
-	workers := runtime.GOMAXPROCS(0)
 	res := &HotpathResult{
-		Note: fmt.Sprintf("hot path: DecodeAll + Pipeline + Simplify per op, n=DefaultN, seed=%d, %d iters; "+
-			"par_sequential rows fell back to the sequential path (parallel cutover or single CPU)",
+		Note: fmt.Sprintf("hot path: DecodeAll + Pipeline + Simplify per op, n=DefaultN, seed=%d, %d iters",
 			o.Seed, hotpathIters),
 		Options: o,
-		Workers: workers,
+		Workers: runtime.GOMAXPROCS(0),
 	}
 	if baseline == nil {
 		res.Note += "; no PR-1 baseline file, ratio columns omitted"
 	}
 	for _, g := range gens {
-		row, err := hotpathDataset(g, o, workers)
+		row, err := hotpathDataset(g, o)
 		if err != nil {
 			return nil, err
 		}
@@ -107,16 +91,13 @@ func RunHotpath(o Options) (*HotpathResult, error) {
 			if row.NsPerOp > 0 {
 				row.SpeedupSeq = base.NsPerOp / row.NsPerOp
 			}
-			if row.ParNsPerOp > 0 {
-				row.SpeedupPar = base.NsPerOp / row.ParNsPerOp
-			}
 		}
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }
 
-func hotpathDataset(g *dataset.Generator, o Options, workers int) (HotpathRow, error) {
+func hotpathDataset(g *dataset.Generator, o Options) (HotpathRow, error) {
 	records := g.Generate(o.scaledN(g), o.Seed)
 	var input bytes.Buffer
 	for _, rec := range records {
@@ -133,13 +114,13 @@ func hotpathDataset(g *dataset.Generator, o Options, workers int) (HotpathRow, e
 		InputBytes: input.Len(),
 	}
 
-	seqCfg := core.Default()
-	op := func(cfg core.Config) (schema.Schema, error) {
+	op := func() error {
 		types, err := jsontype.DecodeAll(bytes.NewReader(input.Bytes()))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return schema.Simplify(core.PipelineTypes(types, cfg)), nil
+		schema.Simplify(core.PipelineTypes(types, core.Default()))
+		return nil
 	}
 
 	// Record the distinct-type count once, outside the measured loops.
@@ -151,52 +132,27 @@ func hotpathDataset(g *dataset.Generator, o Options, workers int) (HotpathRow, e
 		row.DistinctTypes = jsontype.NewBag(types...).Distinct()
 	}
 
-	var seqSchema, parSchema schema.Schema
 	var opErr error
-	// One unmeasured op before each measured block: the first execution
-	// pays one-time costs (interner growth, allocator warm-up) that
-	// otherwise land entirely on whichever block runs first and show up
-	// as a phantom seq/par delta.
-	if _, err := op(seqCfg); err != nil {
+	// One unmeasured op first: the first execution pays one-time costs
+	// (interner growth, allocator warm-up) that would otherwise land on
+	// the measured block.
+	if err := op(); err != nil {
 		return HotpathRow{}, fmt.Errorf("hotpath: %s (warmup): %w", g.Name, err)
 	}
 	sampler := stats.StartMemSampler(0)
 	row.NsPerOp, row.AllocsPerOp, row.BytesPerOp = measureOp(hotpathIters, func() {
-		seqSchema, opErr = op(seqCfg)
+		opErr = op()
 	})
 	row.PeakHeapBytes = sampler.Stop()
 	if opErr != nil {
 		return HotpathRow{}, fmt.Errorf("hotpath: %s: %w", g.Name, opErr)
 	}
-
-	if core.EffectiveWorkers(workers, row.DistinctTypes) <= 1 {
-		row.ParNsPerOp = row.NsPerOp
-		row.ParSequential = true
-		row.SchemasEqual = true
-		return row, nil
-	}
-
-	parCfg := seqCfg
-	parCfg.StatsWorkers = workers
-	parCfg.SynthWorkers = workers
-	if _, err := op(parCfg); err != nil {
-		return HotpathRow{}, fmt.Errorf("hotpath: %s (parallel warmup): %w", g.Name, err)
-	}
-	row.ParNsPerOp, _, _ = measureOp(hotpathIters, func() {
-		parSchema, opErr = op(parCfg)
-	})
-	if opErr != nil {
-		return HotpathRow{}, fmt.Errorf("hotpath: %s (parallel): %w", g.Name, opErr)
-	}
-
-	row.SchemasEqual = schema.Equal(seqSchema, parSchema)
 	return row, nil
 }
 
 // measureOp runs fn iters times and returns mean wall time, heap
 // allocations, and heap bytes per run (mallocs and bytes from the
-// runtime's own counters, so goroutine allocations in parallel runs are
-// included).
+// runtime's own counters, so allocations on any goroutine are included).
 func measureOp(iters int, fn func()) (nsPerOp, allocsPerOp, bytesPerOp float64) {
 	runtime.GC()
 	var before, after runtime.MemStats
@@ -240,22 +196,19 @@ func loadHotpathBaseline() map[string]struct{ NsPerOp, AllocsPerOp float64 } {
 
 func (r *HotpathResult) table() *table {
 	t := &table{
-		title: fmt.Sprintf("Hot path: interning + bitsets + parallel synthesis (%d workers)", r.Workers),
-		headers: []string{"dataset", "records", "distinct", "ms/op", "par ms/op",
-			"Mallocs/op", "peak MiB", "allocs ÷", "speedup", "par speedup", "equal"},
+		title: fmt.Sprintf("Hot path: interning + bitsets (GOMAXPROCS %d)", r.Workers),
+		headers: []string{"dataset", "records", "distinct", "ms/op",
+			"Mallocs/op", "peak MiB", "allocs ÷", "speedup"},
 	}
 	for _, row := range r.Rows {
 		t.addRow(row.Dataset,
 			fmt.Sprintf("%d", row.Records),
 			fmt.Sprintf("%d", row.DistinctTypes),
 			fmt.Sprintf("%.1f", row.NsPerOp/1e6),
-			fmt.Sprintf("%.1f", row.ParNsPerOp/1e6),
 			fmt.Sprintf("%.2f", row.AllocsPerOp/1e6),
 			fmt.Sprintf("%.1f", float64(row.PeakHeapBytes)/(1<<20)),
 			fmt.Sprintf("%.2fx", row.AllocReduction),
-			fmt.Sprintf("%.2fx", row.SpeedupSeq),
-			fmt.Sprintf("%.2fx", row.SpeedupPar),
-			fmt.Sprintf("%v", row.SchemasEqual))
+			fmt.Sprintf("%.2fx", row.SpeedupSeq))
 	}
 	return t
 }

@@ -1,7 +1,6 @@
 // Package conccheck enforces the goroutine discipline the deterministic
-// pipeline depends on. PR 2/4 made every parallel stage fan in through
-// bounded pool helpers (dist.Map/Fold/ForEach, core's inline-fallback
-// workPool, the word-striped TransposeParallel, the ingest worker pool);
+// pipeline depends on. Every parallel stage fans in through bounded pool
+// helpers (dist.Map/Fold/ForEach, the ingest worker pool);
 // determinism then rests on two structural properties: goroutines are
 // spawned only inside those helpers, and spawned closures communicate
 // results exclusively through index-disjoint slice stores or channels —

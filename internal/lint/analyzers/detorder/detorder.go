@@ -1,7 +1,7 @@
 // Package detorder guards the byte-equivalence guarantee of the synthesis
-// pipeline: golden schemas are byte-identical across runs and across
-// SynthWorkers settings only if no Go map iteration order ever leaks into
-// output. Inside the synthesis packages the analyzer flags a range over a
+// pipeline: golden schemas are byte-identical across runs, shard counts
+// and reduce-worker counts only if no Go map iteration order ever leaks
+// into output. Inside the synthesis packages the analyzer flags a range over a
 // map that appends to a slice declared outside the loop without a
 // subsequent sort in the same function — the shape by which map order
 // reaches Union child ordering, fan-in slices, and ultimately the encoded
