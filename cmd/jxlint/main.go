@@ -1,10 +1,8 @@
 // Command jxlint runs the jxplain analyzer suite (interncheck,
-// hotpathalloc, hotpathcall, detorder, mergelaw, mergepure, conccheck,
-// lockcheck, errtotal, exhausttag, decodebound, ignoreaudit — see
-// internal/lint). It speaks cmd/go's vet tool protocol, including the
-// .vetx fact files that carry the cross-package facts (hotpathcall's
-// AllocFree/ColdPath, lockcheck's Acquires/LockOrder, errtotal's
-// TotalError/MayPanic, exhausttag's EnumMembers, decodebound's
+// hotpathalloc, hotpathcall, detorder, mergepure, decodebound,
+// ignoreaudit — see internal/lint). It speaks cmd/go's vet tool protocol,
+// including the .vetx fact files that carry the cross-package facts
+// (hotpathcall's AllocFree/ColdPath, decodebound's
 // TaintedResult/TaintedParam/BoundedResult, mergepure's
 // MutatesParam/AdoptsParam/Nondet/Immutable) between units, so the
 // canonical invocation is
@@ -30,9 +28,10 @@
 // analyzers' suggested fixes: -fix rewrites the source files in place
 // (non-overlapping fixes only; conflicts are skipped with a note), and
 // -fixdiff renders the same changes as a unified-style diff without
-// touching anything — an empty diff proves -fix would be a no-op, which
-// is what CI's lint-fix-dryrun step asserts on a clean tree. Both keep
-// go vet's exit code: applying fixes does not launder the findings.
+// touching anything. Both keep go vet's exit code: applying fixes does
+// not launder the findings. Fixes ride only on diagnostics that survive
+// filtering, and any such diagnostic fails the run, so a passing run
+// implies an empty -fixdiff.
 package main
 
 import (

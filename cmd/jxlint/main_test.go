@@ -232,10 +232,10 @@ func TestFlagsHandshake(t *testing.T) {
 		}
 		byName[f.Name] = true
 	}
-	if len(flags) != 12 {
-		t.Errorf("-flags lists %d analyzers, want 12", len(flags))
+	if len(flags) != 7 {
+		t.Errorf("-flags lists %d analyzers, want 7", len(flags))
 	}
-	for _, want := range []string{"interncheck", "hotpathalloc", "hotpathcall", "detorder", "mergelaw", "mergepure", "conccheck", "lockcheck", "errtotal", "exhausttag", "decodebound", "ignoreaudit"} {
+	for _, want := range []string{"interncheck", "hotpathalloc", "hotpathcall", "detorder", "mergepure", "decodebound", "ignoreaudit"} {
 		if !byName[want] {
 			t.Errorf("-flags output is missing analyzer %s", want)
 		}

@@ -19,7 +19,7 @@ import (
 func TestSarifDocumentShape(t *testing.T) {
 	suite := analyzers.All()
 	findings := []unitchecker.Finding{
-		{Position: token.Position{Filename: "a.go", Line: 3, Column: 7}, Analyzer: "lockcheck", Message: "m1"},
+		{Position: token.Position{Filename: "a.go", Line: 3, Column: 7}, Analyzer: "detorder", Message: "m1"},
 		{Position: token.Position{Filename: "b.go"}, Analyzer: "someplugin", Message: "m2"},
 	}
 	doc := sarifDocument(suite, findings)

@@ -54,11 +54,9 @@ func (a *Accumulator) rotate() {
 			a.onWindowClose(a.ring.closed-1, closed.Records(), closed)
 		}
 	} else if b.hasDecay() && a.sketch != nil {
-		//jx:lint-ignore errtotal Decay asserts factor in (0,1) and hasDecay establishes it
 		a.sketch.Decay(b.DecayFactor)
 	}
 	if b.hasDecay() && a.res != nil {
-		//jx:lint-ignore errtotal Decay asserts factor in (0,1) and hasDecay establishes it
 		a.res.Decay(b.DecayFactor)
 	}
 }
@@ -94,7 +92,6 @@ func (a *Accumulator) statsSketch() *PathSketch {
 	if err != nil {
 		// The ring holds only bytes this process serialized itself; a
 		// decode failure is memory corruption, not an input condition.
-		//jx:lint-ignore errtotal ring windows are self-serialized, decode failure is an internal invariant violation
 		panic("core: corrupt self-serialized window: " + err.Error())
 	}
 	return merged

@@ -7,10 +7,10 @@ import (
 	"jxplain/internal/jsontype"
 )
 
-// Property tests for the PathSketch monoid (demanded by the mergelaw
-// analyzer): folding chunk sketches in any order or grouping must derive
-// identical pass-① statistics. Merge consumes its argument, so each
-// algebraic expression is built from fresh sketches.
+// Property tests for the PathSketch monoid: folding chunk sketches in
+// any order or grouping must derive identical pass-① statistics. Merge
+// consumes its argument, so each algebraic expression is built from fresh
+// sketches.
 
 func lawSketchChunks() [][]*jsontype.Type {
 	return [][]*jsontype.Type{

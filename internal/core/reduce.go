@@ -9,8 +9,6 @@ import (
 // SketchMergeError reports which file of a multi-sketch reduction failed,
 // wrapping the typed decode error. Drivers that know the files' names can
 // translate Index back into one.
-//
-//jx:totalerror
 type SketchMergeError struct {
 	Index int   // position of the failing file in the input slice
 	Err   error // the *SketchFormatError or *SketchVersionError

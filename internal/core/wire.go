@@ -71,11 +71,7 @@ const (
 	flagTrie byte = 1 << 1
 )
 
-// Section tags, in file order. The //jx:enum registration means any
-// switch dispatching over these must account for every tag (exhausttag),
-// so adding a section is lint-visible at every consumer.
-//
-//jx:enum wire section tags
+// Section tags, in file order.
 const (
 	secKeys byte = 'K'
 	secType byte = 'T'
@@ -90,8 +86,6 @@ const maxTrieDepth = 100_000
 
 // SketchVersionError reports a sketch whose version byte this build does
 // not understand.
-//
-//jx:totalerror
 type SketchVersionError struct {
 	Got, Want byte
 }
@@ -101,8 +95,6 @@ func (e *SketchVersionError) Error() string {
 }
 
 // SketchFormatError reports structurally invalid sketch bytes.
-//
-//jx:totalerror
 type SketchFormatError struct {
 	Offset int    // byte offset where decoding failed, best effort
 	Msg    string // what was wrong
@@ -548,7 +540,6 @@ func (d *sketchDecoder) decodeBag() (*jsontype.Bag, error) {
 		if uint64(bag.Len())+c > uint64(maxInt) {
 			return nil, d.errf("bag total overflows")
 		}
-		//jx:lint-ignore errtotal AddN asserts n > 0 and the c == 0 check above establishes it
 		bag.AddN(t, int(c))
 	}
 	return bag, d.finishSection(secBag, end)
@@ -955,7 +946,6 @@ func (a *Accumulator) mergeBagEntries(d *sketchDecoder, n int, fileHasTrie bool)
 			return 0, d.bagOverflowErr()
 		}
 		total += int(c)
-		//jx:lint-ignore errtotal AddN asserts n > 0 and the c == 0 check above establishes it
 		a.bag.AddN(t, int(c))
 		if !fileHasTrie && a.sketch != nil {
 			a.sketch.AddN(t, int(c))

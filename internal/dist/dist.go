@@ -5,9 +5,11 @@
 // The paper's key observation about K-reduction is that its merge operator
 // is commutative and associative, so schema extraction can run as a
 // partitioned fold followed by a combine tree — exactly the shape Fold
-// implements. JXPLAIN's global heuristics break this property, which is why
-// core.Pipeline instead runs as a sequence of whole-collection passes
-// (each of which is itself parallelized with Map/Fold here).
+// implements (merge.FoldK runs K-reduction through it). JXPLAIN's global
+// heuristics break this property, which is why core.Pipeline instead runs
+// its whole-collection passes one after another on a single goroutine; its
+// parallelism lives in ingest decoding and in the sketch tree reduce, which
+// uses ForEach here.
 package dist
 
 import (
@@ -51,9 +53,7 @@ func split(n, workers int) [][2]int {
 }
 
 // Map applies fn to every item in parallel and returns the results in input
-// order.
-//
-//jx:pool workers write disjoint ranges of the pre-sized out slice
+// order. Workers write disjoint ranges of the pre-sized out slice.
 func Map[T, U any](items []T, workers int, fn func(T) U) []U {
 	out := make([]U, len(items))
 	parts := split(len(items), workers)
@@ -75,8 +75,7 @@ func Map[T, U any](items []T, workers int, fn func(T) U) []U {
 // into a fresh accumulator with add, then the per-worker accumulators are
 // combined left-to-right. combine must be associative for the result to be
 // independent of the partitioning; add(acc, item) may mutate and return acc.
-//
-//jx:pool each worker folds into its own accumulator, stored at accs[pi]; combine runs after Wait
+// combine runs on the calling goroutine after every worker has finished.
 func Fold[T, A any](items []T, workers int, newAcc func() A, add func(A, T) A, combine func(A, A) A) A {
 	parts := split(len(items), workers)
 	if len(parts) == 0 {
@@ -104,9 +103,8 @@ func Fold[T, A any](items []T, workers int, newAcc func() A, add func(A, T) A, c
 }
 
 // ForEach runs fn over every index in parallel; use when results are
-// written into caller-owned structures indexed by i.
-//
-//jx:pool workers cover disjoint index ranges; the write-by-index contract is the caller's
+// written into caller-owned structures indexed by i. Workers cover
+// disjoint index ranges; fn must write only to the slots of its own i.
 func ForEach(n, workers int, fn func(i int)) {
 	parts := split(n, workers)
 	var wg sync.WaitGroup

@@ -82,9 +82,8 @@ type rawChunk struct {
 // overlap). It returns the total record count. A non-nil error from fn
 // stops ingestion and is returned as-is; decode errors and context
 // cancellation abort likewise. All internal goroutines have exited by the
-// time Each returns.
-//
-//jx:pool splitter/decoder fan-out communicates through channels only; re-sequencing is single-goroutine
+// time Each returns. The splitter and decoder goroutines communicate only
+// through channels, and re-sequencing runs on a single goroutine.
 func Each(ctx context.Context, r io.Reader, opts Options, fn func(Chunk) error) (int, error) {
 	opts = opts.withDefaults()
 

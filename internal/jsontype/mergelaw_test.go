@@ -2,10 +2,10 @@ package jsontype
 
 import "testing"
 
-// Property tests for the monoid laws behind the mergeable-sketch pipeline
-// (and demanded by the mergelaw analyzer): Bag.Merge and
-// SimilarityAccumulator.Combine must be commutative and associative so
-// chunked / parallel folds reach the same state regardless of fold shape.
+// Property tests for the monoid laws behind the mergeable-sketch pipeline:
+// Bag.Merge and SimilarityAccumulator.Combine must be commutative and
+// associative so chunked / parallel folds reach the same state regardless
+// of fold shape.
 
 func lawTypes() []*Type {
 	return []*Type{

@@ -152,7 +152,7 @@ func TestReservoirMergeMismatchPanics(t *testing.T) {
 	NewReservoirBag(4, 1).Merge(NewReservoirBag(8, 1))
 }
 
-// ---- merge-law property tests (mergelaw analyzer convention) ----
+// ---- merge-law property tests ----
 //
 // Like Bag.Merge, the reservoir merge is commutative on the retained
 // (type, count) multiset — selection compares combined weights and

@@ -25,10 +25,9 @@
 //     `v > uint64(remaining/minBytes)` decode idiom) clears its taint on
 //     the paths downstream of the comparison node, and an assignment
 //     from the min/max builtins clears it outright (the clamp idiom the
-//     suggested fix inserts). Like errtotal's guard evidence, the
-//     sanitizer is generous — any comparison counts, equality included —
-//     so the analyzer errs toward false negatives, never toward noise on
-//     the hot decode path.
+//     suggested fix inserts). The sanitizer is generous — any
+//     comparison counts, equality included — so the analyzer errs toward
+//     false negatives, never toward noise on the hot decode path.
 //
 // Taint is tracked per render string ("n", "d.pos") with a label mask:
 // one wire label plus one label per integer parameter. Parameter labels

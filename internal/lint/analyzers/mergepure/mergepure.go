@@ -1,7 +1,7 @@
 // Package mergepure proves the purity side of the monoid contract that
-// mergelaw tests behaviorally: a Merge/Combine used to fold
-// per-partition sketches must be a pure, deterministic function of its
-// two operands. The reduce pipeline calls these merges from worker
+// the *Commutative/*Associative property tests check behaviorally: a
+// Merge/Combine used to fold per-partition sketches must be a pure,
+// deterministic function of its two operands. The reduce pipeline calls these merges from worker
 // goroutines, across tree-reduction levels, and in shard order chosen by
 // the scheduler, so a merge that writes package state races, one that
 // consults a non-deterministic source (time, rand, pointer formatting)
@@ -11,7 +11,7 @@
 // reference — the combineShared aliasing bug class, now proven absent.
 //
 // Checked methods are the exported Merge/Combine monoid shapes (single
-// parameter of the receiver type, mergelaw's convention) plus any method
+// parameter of the receiver type) plus any method
 // tagged //jx:monoid. The directive takes an optional argument:
 //
 //	//jx:monoid            — non-consuming: the operand must survive intact
@@ -553,7 +553,7 @@ func hasDirective(doc *ast.CommentGroup, directive string) bool {
 	return false
 }
 
-// monoidShape reports the mergelaw shape: a method with exactly one
+// monoidShape reports the monoid merge shape: a method with exactly one
 // parameter of the receiver's own named type.
 func monoidShape(sig *types.Signature) bool {
 	if sig.Recv() == nil || sig.Params().Len() != 1 {

@@ -2,17 +2,12 @@
 package analyzers
 
 import (
-	"jxplain/internal/lint/analyzers/conccheck"
 	"jxplain/internal/lint/analyzers/decodebound"
 	"jxplain/internal/lint/analyzers/detorder"
-	"jxplain/internal/lint/analyzers/errtotal"
-	"jxplain/internal/lint/analyzers/exhausttag"
 	"jxplain/internal/lint/analyzers/hotpathalloc"
 	"jxplain/internal/lint/analyzers/hotpathcall"
 	"jxplain/internal/lint/analyzers/ignoreaudit"
 	"jxplain/internal/lint/analyzers/interncheck"
-	"jxplain/internal/lint/analyzers/lockcheck"
-	"jxplain/internal/lint/analyzers/mergelaw"
 	"jxplain/internal/lint/analyzers/mergepure"
 	"jxplain/internal/lint/jxanalysis"
 )
@@ -24,12 +19,7 @@ func All() []*jxanalysis.Analyzer {
 		hotpathalloc.Analyzer,
 		hotpathcall.Analyzer,
 		detorder.Analyzer,
-		mergelaw.Analyzer,
 		mergepure.Analyzer,
-		conccheck.Analyzer,
-		lockcheck.Analyzer,
-		errtotal.Analyzer,
-		exhausttag.Analyzer,
 		decodebound.Analyzer,
 		ignoreaudit.Analyzer,
 	}

@@ -62,17 +62,6 @@ func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 	return p.facts.getObject(obj, fact)
 }
 
-// ExportPackageFact attaches fact to the package under analysis.
-func (p *Pass) ExportPackageFact(fact Fact) {
-	p.facts.setPackage(p.Pkg, fact)
-}
-
-// ImportPackageFact copies pkg's fact of fact's type into fact, reporting
-// whether one exists.
-func (p *Pass) ImportPackageFact(pkg *types.Package, fact Fact) bool {
-	return p.facts.getPackage(pkg, fact)
-}
-
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	*p.diags = append(*p.diags, Diagnostic{

@@ -1,6 +1,6 @@
 // Package cfg builds intraprocedural control-flow graphs over go/ast
-// function bodies and solves forward dataflow problems over them — the
-// foundation of jxlint's v3 analyzers (lockcheck, errtotal, exhausttag).
+// function bodies and solves forward dataflow problems over them. Its one
+// consumer is the decodebound analyzer's taint analysis.
 //
 // The graph decomposes a body into basic blocks of *leaf* nodes:
 // statements that transfer no control themselves (assignments, calls,
@@ -12,9 +12,7 @@
 // switches (with fallthrough), select, goto — plus the two abnormal
 // exits: every return statement jumps to the distinguished Exit block and
 // every explicit panic(...) statement jumps to the distinguished Panic
-// block. Defer statements stay in their block (their flow effect is
-// analyzer-specific: a deferred unlock releases at *both* exits) and are
-// additionally collected on the Graph in lexical order.
+// block. Defer statements stay in their block as ordinary leaves.
 //
 // The package is deliberately syntactic: it needs no *types.Info, so the
 // checktest fixture loader and the vet driver can both hand bodies to it,
@@ -51,7 +49,6 @@ type Graph struct {
 	Entry  *Block
 	Exit   *Block // reached by return statements and by falling off the end
 	Panic  *Block // reached by explicit panic(...) statements
-	Defers []*ast.DeferStmt
 }
 
 // New builds the control-flow graph of body. A nil body yields a trivial
@@ -72,10 +69,10 @@ func New(body *ast.BlockStmt) *Graph {
 
 // target is one enclosing breakable/continuable construct.
 type target struct {
-	label          string // "" for the implicit nearest target
-	brk, cont      *Block // cont is nil for switch/select
-	breakable      bool
-	fallthroughTo  *Block // next case clause body, for fallthrough
+	label         string // "" for the implicit nearest target
+	brk, cont     *Block // cont is nil for switch/select
+	breakable     bool
+	fallthroughTo *Block // next case clause body, for fallthrough
 }
 
 type builder struct {
@@ -159,9 +156,6 @@ func (b *builder) stmt(s ast.Stmt) {
 		if isPanicCall(s.X) {
 			b.jump(b.g.Panic)
 		}
-	case *ast.DeferStmt:
-		b.g.Defers = append(b.g.Defers, s)
-		b.emit(s)
 	case *ast.IfStmt:
 		b.ifStmt(s)
 	case *ast.ForStmt:
@@ -180,7 +174,7 @@ func (b *builder) stmt(s ast.Stmt) {
 		b.branchStmt(s)
 	case nil:
 	default:
-		// Leaf statements: assign, incdec, send, go, empty, decl.
+		// Leaf statements: assign, incdec, send, go, defer, empty, decl.
 		if _, ok := s.(*ast.EmptyStmt); ok {
 			return
 		}
@@ -260,9 +254,9 @@ func (b *builder) forStmt(s *ast.ForStmt) {
 func (b *builder) rangeStmt(s *ast.RangeStmt) {
 	label := b.takeLabel()
 	// The head's single leaf is the range operand: analyzers that care
-	// about what is being iterated (errtotal's bounds guards) read it via
-	// the "range.head" block kind; the key/value assignment carries no
-	// flow effect any current analysis needs.
+	// about what is being iterated (decodebound's range-over-int sink)
+	// read it via the "range.head" block kind; the key/value
+	// assignment carries no flow effect any current analysis needs.
 	head := b.startAfter("range.head")
 	head.Nodes = append(head.Nodes, s.X)
 	exit := b.newBlock("range.exit")

@@ -10,8 +10,8 @@ import (
 	"strings"
 )
 
-// A Fact is a typed message an analyzer attaches to a types.Object or a
-// package during one pass and reads back — possibly in a different
+// A Fact is a typed message an analyzer attaches to a types.Object
+// during one pass and reads back — possibly in a different
 // compilation unit — during a later pass. Facts are how interprocedural
 // results cross package boundaries under the go vet protocol: the driver
 // serializes every fact of a unit (gob) into the unit's .vetx output next
@@ -33,16 +33,12 @@ type Fact interface {
 // fixture driver (checktest) shares one store across the fixture's
 // packages, analyzed in dependency order.
 type Facts struct {
-	objects  map[types.Object]map[reflect.Type]Fact
-	packages map[*types.Package]map[reflect.Type]Fact
+	objects map[types.Object]map[reflect.Type]Fact
 }
 
 // NewFacts returns an empty fact store.
 func NewFacts() *Facts {
-	return &Facts{
-		objects:  map[types.Object]map[reflect.Type]Fact{},
-		packages: map[*types.Package]map[reflect.Type]Fact{},
-	}
+	return &Facts{objects: map[types.Object]map[reflect.Type]Fact{}}
 }
 
 // An ObjectFact is one (object, fact) pair from the store.
@@ -64,24 +60,6 @@ func (f *Facts) setObject(obj types.Object, fact Fact) {
 // whether one was present.
 func (f *Facts) getObject(obj types.Object, fact Fact) bool {
 	stored, ok := f.objects[obj][reflect.TypeOf(fact)]
-	if !ok {
-		return false
-	}
-	reflect.ValueOf(fact).Elem().Set(reflect.ValueOf(stored).Elem())
-	return true
-}
-
-func (f *Facts) setPackage(pkg *types.Package, fact Fact) {
-	m := f.packages[pkg]
-	if m == nil {
-		m = map[reflect.Type]Fact{}
-		f.packages[pkg] = m
-	}
-	m[reflect.TypeOf(fact)] = fact
-}
-
-func (f *Facts) getPackage(pkg *types.Package, fact Fact) bool {
-	stored, ok := f.packages[pkg][reflect.TypeOf(fact)]
 	if !ok {
 		return false
 	}
@@ -196,9 +174,8 @@ func lookupObject(pkg *types.Package, key string) types.Object {
 	return pkg.Scope().Lookup(key)
 }
 
-// gobFact is the serialized form of one fact. Object is "" for package
-// facts. The concrete fact type must be gob-registered on both ends
-// (RegisterFactTypes).
+// gobFact is the serialized form of one object fact. The concrete fact
+// type must be gob-registered on both ends (RegisterFactTypes).
 type gobFact struct {
 	PkgPath string
 	Object  string
@@ -216,24 +193,6 @@ func (f *Facts) Encode() ([]byte, error) {
 			continue
 		}
 		gfs = append(gfs, gobFact{PkgPath: pkgPathOf(of.Object), Object: key, Fact: of.Fact})
-	}
-	pkgs := make([]*types.Package, 0, len(f.packages))
-	for pkg := range f.packages {
-		pkgs = append(pkgs, pkg)
-	}
-	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path() < pkgs[j].Path() })
-	for _, pkg := range pkgs {
-		names := make([]string, 0, len(f.packages[pkg]))
-		byName := map[string]Fact{}
-		for _, fact := range f.packages[pkg] {
-			n := factName(fact)
-			names = append(names, n)
-			byName[n] = fact
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			gfs = append(gfs, gobFact{PkgPath: pkg.Path(), Fact: byName[n]})
-		}
 	}
 	if len(gfs) == 0 {
 		return nil, nil
@@ -259,10 +218,6 @@ func (f *Facts) Decode(data []byte, find func(path string) *types.Package) error
 	for _, gf := range gfs {
 		pkg := find(gf.PkgPath)
 		if pkg == nil {
-			continue
-		}
-		if gf.Object == "" {
-			f.setPackage(pkg, gf.Fact)
 			continue
 		}
 		if obj := lookupObject(pkg, gf.Object); obj != nil {

@@ -44,7 +44,6 @@ func TestFactRoundTrip(t *testing.T) {
 	src := NewFacts()
 	src.setObject(fn, &testFact{N: 7})
 	src.setObject(m, &testFact{N: 9})
-	src.setPackage(pkg, &otherFact{})
 	// A fact on a local cannot cross units and must be dropped by Encode.
 	local := types.NewVar(token.NoPos, pkg, "local", types.Typ[types.Int])
 	src.setObject(local, &testFact{N: 1})
@@ -77,10 +76,6 @@ func TestFactRoundTrip(t *testing.T) {
 	}
 	if !dst.getObject(m2, &got) || got.N != 9 {
 		t.Errorf("fact on T.M: got (%v, %+v), want N=9", dst.getObject(m2, &got), got)
-	}
-	var op otherFact
-	if !dst.getPackage(pkg2, &op) {
-		t.Error("package fact did not round-trip")
 	}
 	if n := len(dst.ObjectFacts()); n != 2 {
 		t.Errorf("decoded %d object facts, want 2 (the local-variable fact must not serialize)", n)

@@ -21,8 +21,6 @@ type MemSampler struct {
 
 // StartMemSampler garbage-collects to a clean baseline, then samples
 // HeapAlloc at the given interval (<= 0 means 200µs) until Stop.
-//
-//jx:pool the sampler goroutine publishes only through an atomic peak and exits on the stop channel
 func StartMemSampler(interval time.Duration) *MemSampler {
 	if interval <= 0 {
 		interval = 200 * time.Microsecond
