@@ -55,8 +55,10 @@ func TestRunErrors(t *testing.T) {
 	if err := run(nil, &strings.Builder{}); err == nil {
 		t.Error("no selection should fail")
 	}
-	if err := run([]string{"-table", "99"}, &strings.Builder{}); err == nil {
-		t.Error("unknown table should fail")
+	for _, name := range []string{"99", "window"} {
+		if err := run([]string{"-table", name}, &strings.Builder{}); err == nil {
+			t.Errorf("unknown table %q should fail", name)
+		}
 	}
 	if err := run([]string{"-table", "1", "-datasets", "bogus"}, &strings.Builder{}); err == nil {
 		t.Error("unknown dataset should fail")

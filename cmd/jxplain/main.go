@@ -152,7 +152,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	start := time.Now()
 	var sampler *stats.MemSampler
 	if *statsF {
-		sampler = stats.StartMemSampler(0)
+		sampler = stats.StartMemSampler()
 		defer sampler.Stop()
 	}
 

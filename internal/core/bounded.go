@@ -19,7 +19,7 @@ import (
 // remaining unbounded term is the global type interner, which is
 // append-only by design (pointer identity is the bag's currency); its
 // per-type footprint is small and flat-RSS claims are made net of it —
-// see DESIGN.md "Unbounded streams" and the window benchmark.
+// see DESIGN.md "Unbounded streams" and TestDecayBoundsChurnTrie.
 
 // advance moves the bounded stream's record clock forward by n and
 // rotates once when the clock passes the cadence. An add is atomic with
@@ -112,8 +112,9 @@ func (a *Accumulator) WindowsClosed() int {
 
 // SketchNodes returns the trie node count of the state pass ① would read
 // right now — live sketch plus retained windows decoded — which is the
-// memory proxy the flat-RSS experiment asserts on. 0 for sampling
-// configurations that keep no sketch.
+// memory proxy TestDecayBoundsChurnTrie asserts on and the bench trace
+// reports as core.sketch_nodes. 0 for sampling configurations that keep
+// no sketch.
 func (a *Accumulator) SketchNodes() int {
 	if a.sketch == nil {
 		return 0

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math/rand"
 	"sort"
 	"strings"
@@ -219,28 +218,6 @@ func synthesize(bag *jsontype.Bag, stats []PathStat, cfg Config, memo *mergeMemo
 	}
 	s := &synthesizer{dec: dec, memo: memo}
 	return s.merge(RootPath, bag) // pass ③
-}
-
-// PipelineChunks runs the staged pipeline over a chunk source: next is
-// called repeatedly for the next deduplicated chunk bag and returns
-// (nil, nil) when the stream is exhausted. The context is checked between
-// chunks; cancellation abandons the stream and returns ctx.Err().
-func PipelineChunks(ctx context.Context, next func() (*jsontype.Bag, error), cfg Config) (schema.Schema, error) {
-	acc := NewAccumulator(cfg)
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		chunk, err := next()
-		if err != nil {
-			return nil, err
-		}
-		if chunk == nil {
-			break
-		}
-		acc.AddBag(chunk)
-	}
-	return acc.Finish(), nil
 }
 
 // SampleBag draws a uniform sample of the bag's occurrences: each distinct

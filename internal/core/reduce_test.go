@@ -181,9 +181,10 @@ func TestMarshalExactPreallocation(t *testing.T) {
 
 // TestMergeSketchAllocsNoWorseThanMaterialize guards the merge-into
 // decode: folding a sketch into a populated accumulator must not allocate
-// more than the old materialize-then-merge path it replaced. (The real
-// margin — several-fold — is reported by jxbench -table reduce; the test
-// only pins the direction so it stays robust across runtimes.)
+// more than the old materialize-then-merge path it replaced. (The margin
+// was several-fold when last measured; the test only pins the direction
+// so it stays robust across runtimes. The bench `shard` workload traces
+// core.reduce_allocs end to end.)
 func TestMergeSketchAllocsNoWorseThanMaterialize(t *testing.T) {
 	cfg := Default()
 	g, _ := dataset.ByName("yelp-business")

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"jxplain/internal/dataset"
+	"jxplain/internal/entropy"
 	"jxplain/internal/jsontype"
 )
 
@@ -146,34 +148,121 @@ func TestPathSketchDecayCompacts(t *testing.T) {
 	}
 }
 
-// Decay-only mode (rotation cadence without a ring) keeps a churn
-// stream's trie bounded: keys that stop appearing decay out.
+// churnRec is record i of a churn stream: a stable "service" tuple beside
+// a never-repeating session key whose value is structurally constant, so
+// distinct root types and trie keys grow with the stream while the deep
+// subtrees intern once.
+func churnRec(t *testing.T, i int) *jsontype.Type {
+	t.Helper()
+	return ty(t, fmt.Sprintf(
+		`{"service":{"region":"eu-1","build":%d,"flags":[true,false],"limits":{"cpu":1.5,"mem":4.0}},`+
+			`"sess_%08d":{"hits":%d,"geo":[%d.0,2.0],"tags":{"env":"prod"}}}`,
+		i%7, i, i%100, i%90))
+}
+
+// A bounded accumulator keeps a churn stream's state flat: its peak trie
+// over the 10th 200-record horizon is at most 1.5× its peak over the
+// first, the reservoir never exceeds capacity, and the exact trie, which
+// keeps every session key, ends at least 4× the bounded peak.
 func TestDecayBoundsChurnTrie(t *testing.T) {
-	acc := NewAccumulator(boundsConfig(Bounds{
-		ReservoirCapacity: 32, WindowRecords: 100, DecayFactor: 0.5,
-	}))
-	exact := NewAccumulator(Default())
-	for i := 0; i < 3000; i++ {
-		ty := windowRec(t, i) // pure churn: every record a fresh key
-		acc.Add(ty)
-		exact.Add(ty)
-		if d := acc.Reservoir().Distinct(); d > 32 {
-			t.Fatalf("reservoir over capacity at i=%d: %d", i, d)
+	const (
+		horizon    = 200
+		flatFactor = 1.5
+		growFactor = 4
+	)
+	for _, tc := range []struct {
+		name   string
+		bounds Bounds
+	}{
+		// Rotation cadence without a ring: decay ages the live trie in
+		// place, so singleton keys floor out within a couple of cadences.
+		{"decay", Bounds{ReservoirCapacity: 32, WindowRecords: horizon / 2, DecayFactor: 0.5}},
+		// A ring of 4 windows spans the horizon; decay ages the reservoir.
+		{"ring", Bounds{ReservoirCapacity: 64, WindowRecords: horizon / 4, WindowCount: 4, DecayFactor: 0.5}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			acc := NewAccumulator(boundsConfig(tc.bounds))
+			exact := NewAccumulator(Default())
+			var first, last int // peak bounded nodes over the 1st and 10th horizon
+			for i := 1; i <= 10*horizon; i++ {
+				typ := churnRec(t, i)
+				acc.Add(typ)
+				exact.Add(typ)
+				if d := acc.Reservoir().Distinct(); d > tc.bounds.ReservoirCapacity {
+					t.Fatalf("reservoir over capacity at record %d: %d > %d", i, d, tc.bounds.ReservoirCapacity)
+				}
+				if i <= horizon {
+					first = max(first, acc.SketchNodes())
+				} else if i > 9*horizon {
+					last = max(last, acc.SketchNodes())
+				}
+			}
+			unbounded := exact.SketchNodes()
+			t.Logf("bounded peak %d → %d nodes, exact %d", first, last, unbounded)
+			if ratio := float64(last) / float64(first); ratio > flatFactor {
+				t.Errorf("bounded trie grew %.2f× from the 1st to the 10th horizon (%d → %d nodes; ceiling %.1f×)",
+					ratio, first, last, flatFactor)
+			}
+			if unbounded < growFactor*last {
+				t.Errorf("exact trie (%d nodes) should be ≥%d× the bounded peak (%d)", unbounded, growFactor, last)
+			}
+			if len(schemaBytes(t, acc.Finish())) == 0 {
+				t.Fatal("bounded Finish returned empty schema")
+			}
+		})
+	}
+}
+
+// Over every generator, bounded pass-① decisions agree with exact ones on
+// the paths both runs derive. The ring cadence makes the horizon span
+// half the stream, so decisions come from recent windows only.
+func TestBoundedDecisionAgreementOnRegistry(t *testing.T) {
+	const floor = 0.80
+	type pathKey struct {
+		path string
+		kind jsontype.Kind
+	}
+	decisions := func(acc *Accumulator) map[pathKey]entropy.Decision {
+		m := map[pathKey]entropy.Decision{}
+		for _, st := range acc.Stats() {
+			m[pathKey{st.Path, st.Kind}] = st.Decision
 		}
+		return m
 	}
-	bounded, unbounded := acc.SketchNodes(), exact.SketchNodes()
-	// Singleton keys floor to zero at the first rotation after their
-	// window, so the live trie tracks the last couple of cadences (~200
-	// keys), not the 3000-key history.
-	if bounded > 500 {
-		t.Fatalf("decayed trie grew to %d nodes", bounded)
+	var sum float64
+	reg := dataset.Registry()
+	for _, g := range reg {
+		types := dataset.Types(g.Generate(max(20, g.DefaultN/20), 1))
+		exact := NewAccumulator(Default())
+		bounded := NewAccumulator(boundsConfig(Bounds{
+			ReservoirCapacity: 64,
+			WindowRecords:     max(1, len(types)/(2*4)),
+			WindowCount:       4,
+			DecayFactor:       0.5,
+		}))
+		for _, typ := range types {
+			exact.Add(typ)
+			bounded.Add(typ)
+		}
+		want, got := decisions(exact), decisions(bounded)
+		shared, agree := 0, 0
+		for k, d := range want {
+			if bd, ok := got[k]; ok {
+				shared++
+				if bd == d {
+					agree++
+				}
+			}
+		}
+		agreement := 1.0
+		if shared > 0 {
+			agreement = float64(agree) / float64(shared)
+		}
+		t.Logf("%s: %d/%d shared paths agree (%.3f)", g.Name, agree, shared, agreement)
+		sum += agreement
 	}
-	if unbounded < 4*bounded {
-		t.Fatalf("exact trie (%d nodes) should dwarf the decayed one (%d)", unbounded, bounded)
-	}
-	// The bounded accumulator still synthesizes a usable schema.
-	if len(schemaBytes(t, acc.Finish())) == 0 {
-		t.Fatal("bounded Finish returned empty schema")
+	if mean := sum / float64(len(reg)); mean < floor {
+		t.Errorf("mean bounded-vs-exact decision agreement %.3f below %.2f", mean, floor)
 	}
 }
 

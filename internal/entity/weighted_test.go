@@ -3,6 +3,7 @@ package entity
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -89,12 +90,29 @@ func topLevelKeySets(records []dataset.Record, d *Dict) []KeySet {
 	return sets
 }
 
+// sameMembership is clustersEqual without the weights: an unweighted
+// reference run's Weight counts member sets, not records.
+func sameMembership(a, b []Cluster) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !a[i].Max.Equal(b[i].Max) || !slices.Equal(a[i].Members, b[i].Members) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestWeightedMatchesReplicatedOnDatasets pins the weighted-dedup contract
-// on every registry dataset: entity discovery over distinct (set, weight)
-// pairs is byte-equal to discovery over one key set per record, with and
-// without GreedyMerge.
+// on every registry and wide dataset: entity discovery over distinct
+// (set, weight) pairs is byte-equal to discovery over one key set per
+// record, with and without GreedyMerge. The merged clustering also
+// matches the quadratic reference over the distinct sets, and its weights
+// sum to the record count. At 300 records every wide dataset dedups to
+// well over indexMinSets distinct sets, so the posting-index path runs.
 func TestWeightedMatchesReplicatedOnDatasets(t *testing.T) {
-	for _, g := range dataset.Registry() {
+	for _, g := range append(dataset.Registry(), dataset.WideRegistry()...) {
 		records := g.Generate(300, 1)
 		d := NewDict()
 		sets := topLevelKeySets(records, d)
@@ -103,6 +121,19 @@ func TestWeightedMatchesReplicatedOnDatasets(t *testing.T) {
 		}
 		for _, merge := range []bool{false, true} {
 			checkWeightedEquivalence(t, fmt.Sprintf("%s merge=%v", g.Name, merge), sets, merge)
+		}
+
+		w, _ := DedupKeySets(sets)
+		got := DiscoverEntities(w, true)
+		if !sameMembership(got, GreedyMergeRef(BimaxNaiveRef(w.Sets))) {
+			t.Errorf("%s: indexed clustering diverges from the quadratic reference over %d distinct sets", g.Name, len(w.Sets))
+		}
+		total := 0
+		for _, c := range got {
+			total += c.Weight
+		}
+		if total != len(sets) {
+			t.Errorf("%s: cluster weights sum to %d, want %d records", g.Name, total, len(sets))
 		}
 	}
 }

@@ -10,11 +10,13 @@
 //	Figure 5 — feature-vector memory (pruning and encoding)
 //	§7.5     — schema edits to full recall
 //	ablations — threshold sensitivity, staged vs. recursive execution,
-//	            iterative sampling
+//	            iterative sampling, sampled pass-① detection
+//	extensions — structural FD mining, schema description statistics
 //
 // Each runner is deterministic for a given Options.Seed and returns a
 // result value with Render (ASCII table) and CSV methods, shared by
-// cmd/jxbench and the bench_test.go harness.
+// cmd/jxbench and the bench_test.go harness. Performance is not measured
+// here: the bench/ module runs the CLIs end to end and layer by layer.
 package experiments
 
 import (

@@ -7,11 +7,14 @@ import (
 	"time"
 )
 
+// memSampleInterval is how often a MemSampler reads HeapAlloc.
+const memSampleInterval = 200 * time.Microsecond
+
 // MemSampler polls the Go heap in a background goroutine and records the
-// high-water mark of in-use bytes. It is the peak-memory probe behind the
-// streaming-vs-materialized comparisons: Go exposes no per-phase RSS
-// counter, and the process-lifetime VmHWM cannot be reset between phases,
-// so a high-frequency HeapAlloc watermark is the honest per-phase proxy.
+// high-water mark of in-use bytes. It is the peak-heap probe behind
+// `jxplain -stats`: Go exposes no per-phase RSS counter, and the
+// process-lifetime VmHWM cannot be reset between phases, so a
+// high-frequency HeapAlloc watermark is the honest per-phase proxy.
 type MemSampler struct {
 	peak atomic.Uint64
 	stop chan struct{}
@@ -20,18 +23,15 @@ type MemSampler struct {
 }
 
 // StartMemSampler garbage-collects to a clean baseline, then samples
-// HeapAlloc at the given interval (<= 0 means 200µs) until Stop.
-func StartMemSampler(interval time.Duration) *MemSampler {
-	if interval <= 0 {
-		interval = 200 * time.Microsecond
-	}
+// HeapAlloc every memSampleInterval until Stop.
+func StartMemSampler() *MemSampler {
 	runtime.GC()
 	s := &MemSampler{stop: make(chan struct{})}
 	s.sample()
 	s.done.Add(1)
 	go func() {
 		defer s.done.Done()
-		tick := time.NewTicker(interval)
+		tick := time.NewTicker(memSampleInterval)
 		defer tick.Stop()
 		for {
 			select {
