@@ -4,10 +4,12 @@ GO ?= go
 
 all: build vet test
 
-# CI gate: static checks (including the jxlint invariant analyzers) plus
-# the full suite under the race detector (the ingest worker pool and the
-# parallel shard and tree-reduce folds must stay race-clean).
+# CI gate: gofmt, static checks (including the jxlint invariant analyzers)
+# plus the full suite under the race detector (the ingest worker pool and
+# the parallel shard and tree-reduce folds must stay race-clean). The
+# gofmt step lists any unformatted file and fails.
 check: lint
+	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 	$(GO) vet ./...
 	$(GO) test -race ./...
 

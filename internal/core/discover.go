@@ -92,11 +92,14 @@ func (s *synthesizer) merge(path string, bag *jsontype.Bag) schema.Schema {
 		return s.mergeUncached(path, bag)
 	}
 	key := memoKey{path: path, bag: bagContentHash(bag)}
-	if cached, ok := s.memo.m[key]; ok {
-		return cached
+	out, ok := s.memo.cur[key]
+	if !ok {
+		out, ok = s.memo.prev[key]
 	}
-	out := s.mergeUncached(path, bag)
-	s.memo.m[key] = out
+	if !ok {
+		out, s.memo.created = s.mergeUncached(path, bag), true
+	}
+	s.memo.cur[key] = out
 	return out
 }
 

@@ -21,9 +21,17 @@ import (
 // (path, bag) pair synthesizes. validate drops all entries when that
 // epoch hash changes (e.g. new records flipped a tuple/collection decision
 // or re-clustered a partition point).
+//
+// Within an epoch the memo keeps only the entries the latest Finish looked
+// up or created: a Finish reads the previous one's entries from prev,
+// collects its own in cur, and endFinish makes cur the next prev. On a
+// live stream most bag hashes change with every snapshot, so older
+// entries could never hit again; dropping them keeps the memo
+// proportional to distinct structure, not to the number of Finish calls.
 type mergeMemo struct {
-	epoch uint64
-	m     map[memoKey]schema.Schema
+	epoch     uint64
+	prev, cur map[memoKey]schema.Schema
+	created   bool // this Finish computed at least one entry
 }
 
 type memoKey struct {
@@ -32,7 +40,7 @@ type memoKey struct {
 }
 
 func newMergeMemo() *mergeMemo {
-	return &mergeMemo{m: map[memoKey]schema.Schema{}}
+	return &mergeMemo{cur: map[memoKey]schema.Schema{}}
 }
 
 // validate keeps the cache when the decision epoch is unchanged and resets
@@ -40,8 +48,19 @@ func newMergeMemo() *mergeMemo {
 func (mm *mergeMemo) validate(epoch uint64) {
 	if mm.epoch != epoch {
 		mm.epoch = epoch
-		mm.m = map[memoKey]schema.Schema{}
+		mm.prev = nil
 	}
+}
+
+// endFinish makes this Finish's entries the ones the next Finish can hit.
+// A Finish that created nothing was a hit at the root, over a stream that
+// had not changed; it keeps prev, which still holds the entries under that
+// root for the next Finish that does change it.
+func (mm *mergeMemo) endFinish() {
+	if mm.created {
+		mm.prev = mm.cur
+	}
+	mm.cur, mm.created = map[memoKey]schema.Schema{}, false
 }
 
 // mix64 is the splitmix64 finalizer — used to whiten per-element hashes
@@ -71,7 +90,7 @@ func bagContentHash(bag *jsontype.Bag) uint64 {
 // each entry is hashed independently and the results summed.
 func (d *pipelineDecider) epochHash() uint64 {
 	var h uint64
-	var buf [16]byte
+	var buf [4]byte
 	for path, dec := range d.decisions {
 		e := fnv.New64a()
 		e.Write([]byte(path))
@@ -79,26 +98,28 @@ func (d *pipelineDecider) epochHash() uint64 {
 		buf[1] = byte(dec.arr)
 		buf[2] = boolByte(dec.hasObj)
 		buf[3] = byte(dec.obj)
-		e.Write(buf[:4])
+		e.Write(buf[:])
 		h += mix64(e.Sum64())
 	}
-	for planKey, plan := range d.plans {
-		base := fnv.New64a()
-		base.Write([]byte(planKey))
-		binary.LittleEndian.PutUint64(buf[:8], uint64(plan.n))
-		base.Write(buf[:8])
-		h += mix64(base.Sum64())
-		for canon, cluster := range plan.assign {
-			e := fnv.New64a()
-			e.Write([]byte(planKey))
-			e.Write([]byte{0})
-			e.Write([]byte(canon))
-			binary.LittleEndian.PutUint64(buf[:8], uint64(cluster))
-			e.Write(buf[:8])
-			h += mix64(e.Sum64())
-		}
+	for _, plan := range d.plans {
+		h += plan.hash
 	}
 	return h
+}
+
+// planEntryHash hashes one distinct key set's pass-② assignment: the plan
+// key, the set's sorted key names and its entity. A plan's hash is the sum
+// over its key sets.
+func planEntryHash(planKey string, names []string, cluster int) uint64 {
+	e := fnv.New64a()
+	e.Write([]byte(planKey))
+	for _, name := range names {
+		e.Write([]byte{0})
+		e.Write([]byte(name))
+	}
+	var buf [8]byte
+	e.Write(binary.LittleEndian.AppendUint64(buf[:0], uint64(cluster)))
+	return mix64(e.Sum64())
 }
 
 func boolByte(b bool) byte {

@@ -2,8 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"sort"
-	"strings"
 
 	"jxplain/internal/entropy"
 	"jxplain/internal/jsontype"
@@ -203,7 +201,7 @@ func (a *Accumulator) Finish() schema.Schema {
 }
 
 // synthesize runs passes ② and ③ over the full bag, consulting the
-// precomputed pass-① statistics. memo may be nil (no caching).
+// precomputed pass-① statistics and the accumulator's memo.
 func synthesize(bag *jsontype.Bag, stats []PathStat, cfg Config, memo *mergeMemo) schema.Schema {
 	dec := &pipelineDecider{
 		cfg:       cfg,
@@ -211,13 +209,13 @@ func synthesize(bag *jsontype.Bag, stats []PathStat, cfg Config, memo *mergeMemo
 		plans:     map[string]*partitionPlan{},
 	}
 	dec.collectPlans(RootPath, bag) // pass ②
-	if memo != nil {
-		// The memo is only sound while the global decisions and plans that
-		// shaped its entries still hold; a changed epoch drops the cache.
-		memo.validate(dec.epochHash())
-	}
+	// The memo is only sound while the global decisions and plans that
+	// shaped its entries still hold; a changed epoch drops the cache.
+	memo.validate(dec.epochHash())
 	s := &synthesizer{dec: dec, memo: memo}
-	return s.merge(RootPath, bag) // pass ③
+	out := s.merge(RootPath, bag) // pass ③
+	memo.endFinish()
+	return out
 }
 
 // SampleBag draws a uniform sample of the bag's occurrences: each distinct
@@ -260,22 +258,16 @@ func decisionMap(stats []PathStat) map[string]pathDecision {
 	return out
 }
 
-// partitionPlan is the pass-② output for one tuple path: a deterministic
-// assignment of key sets to entity ids. Key sets are identified by a
-// dictionary-independent canonical string so the plan survives across
-// passes.
+// partitionPlan is the pass-② output for one tuple path: the entity each
+// distinct type of the path's bag belongs to, keyed by intern id. Pass ③
+// only ever partitions sub-bags of that bag (an entity's children are
+// sub-bags of all tuples' children at the same path), so every type it
+// meets has an entry. hash digests the key-set → entity assignment for the
+// merge memo's epoch; it is built from key names, not dictionary ids or
+// record counts, so it holds while the assignment does.
 type partitionPlan struct {
-	assign map[string]int
-	n      int
-}
-
-// keySetCanon renders a key-name set canonically (names are already sorted
-// for objects via Type.Keys; array index sets are sorted numerically by
-// construction order, which is stable).
-func keySetCanon(names []string) string {
-	sorted := append([]string(nil), names...)
-	sort.Strings(sorted)
-	return strings.Join(sorted, "\x00")
+	byType map[uint64]int
+	hash   uint64
 }
 
 type pipelineDecider struct {
@@ -332,31 +324,25 @@ func (d *pipelineDecider) featureKeySet(base string) func(*jsontype.Type) []stri
 }
 
 func (d *pipelineDecider) partitionWithPlan(planKey string, bag *jsontype.Bag, keySetOf func(*jsontype.Type) []string) []*jsontype.Bag {
-	if d.cfg.Partition == SingleEntity || d.cfg.Partition == PerKeySet {
-		return partitionBag(bag, keySetOf, d.cfg)
-	}
 	plan := d.plans[planKey]
 	if plan == nil {
-		// Unreached in normal operation.
+		// SingleEntity and PerKeySet build no plans; under the clustering
+		// strategies a path pass ② did not plan is unreached in normal
+		// operation.
 		return partitionBag(bag, keySetOf, d.cfg)
 	}
-	assignment := make([]int, bag.Distinct())
-	next := plan.n
+	// Each type is its own set for groupByAssignment; the one-element sets
+	// share one backing array.
+	n := bag.Distinct()
+	assignment, ids, typesBySet := make([]int, n), make([]int, n), make([][]int, n)
 	for ti, t := range bag.Types() {
-		c := keySetCanon(keySetOf(t))
-		cluster, ok := plan.assign[c]
+		cluster, ok := plan.byType[t.ID()]
 		if !ok {
-			// A key set unseen in pass ② (possible only if the data changed
-			// between passes): isolate it as a fresh entity.
-			cluster = next
-			plan.assign[c] = cluster
-			next++
+			// Unreached: pass ③'s bag at a path is a sub-bag of pass ②'s.
+			return partitionBag(bag, keySetOf, d.cfg)
 		}
-		assignment[ti] = cluster
-	}
-	typesBySet := make([][]int, bag.Distinct())
-	for i := range typesBySet {
-		typesBySet[i] = []int{i}
+		assignment[ti], ids[ti] = cluster, ti
+		typesBySet[ti] = ids[ti : ti+1]
 	}
 	return groupByAssignment(bag, typesBySet, assignment)
 }
@@ -399,13 +385,12 @@ func (d *pipelineDecider) buildPlan(planKey string, bag *jsontype.Bag, keySetOf 
 	}
 	w, dict, typesBySet := collectKeySets(bag, keySetOf)
 	assignment := assignClusters(w, dict, d.cfg)
-	plan := &partitionPlan{assign: map[string]int{}}
+	plan := &partitionPlan{byType: make(map[uint64]int, bag.Distinct())}
 	for si, cluster := range assignment {
-		ti := typesBySet[si][0]
-		plan.assign[keySetCanon(keySetOf(bag.Types()[ti]))] = cluster
-		if cluster+1 > plan.n {
-			plan.n = cluster + 1
+		for _, ti := range typesBySet[si] {
+			plan.byType[bag.Types()[ti].ID()] = cluster
 		}
+		plan.hash += planEntryHash(planKey, w.Sets[si].Names(dict), cluster)
 	}
 	d.plans[planKey] = plan
 }

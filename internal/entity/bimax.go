@@ -132,11 +132,11 @@ func bimaxSortRef(sets []KeySet, order []int, clusters *[]Cluster, weights []int
 // bimaxSortIndexed is the sub-quadratic partition loop: the posting index
 // yields only the sets sharing a key with the seed (plus empty sets, which
 // are subsets of everything); everything else is disjoint and is neither
-// tested nor moved. Only the window span up to the last candidate is
-// rewritten per iteration, and only candidates pay a SubsetOf test, so
-// iterations over mutually disjoint regions of the key space no longer
-// touch each other at all. The resulting order — and the emitted clusters
-// — are identical to bimaxSortRef.
+// tested nor moved. A round walks the window span from the seed up to the
+// last candidate once, in order, so candidates need no sorting, and only
+// candidates pay a SubsetOf test; sets past the last candidate are not
+// touched at all. The resulting order — and the emitted clusters — are
+// identical to bimaxSortRef.
 func bimaxSortIndexed(sets []KeySet, order []int, clusters *[]Cluster, weights []int) {
 	ix := NewIndex(sets)
 	// pos inverts order: pos[id] is the current position of set id. A set
@@ -147,30 +147,29 @@ func bimaxSortIndexed(sets []KeySet, order []int, clusters *[]Cluster, weights [
 		pos[id] = int32(p)
 	}
 	var cands []int32
-	var sub, overlap, buf, keys []int
+	var sub, overlap, disjoint []int
 	for i := 0; i < len(order); {
-		seed := order[i]
-		kmax := sets[seed]
+		kmax := sets[order[i]]
 		win := int32(i)
 		cands = ix.Candidates(kmax, func(id int32) bool { return pos[id] >= win }, cands[:0])
-		// Window-relative order: the stable partition needs candidates in
-		// their current order. Sorting (pos<<32)|id keys through sort.Ints
-		// instead of sort.Slice-by-pos avoids the reflective swapper and a
-		// per-comparison closure — this sort dominates the loop's profile.
-		keys = keys[:0]
+		last := i
 		for _, id := range cands {
-			keys = append(keys, int(pos[id])<<32|int(id))
+			last = max(last, int(pos[id]))
 		}
-		sort.Ints(keys)
-		for j, k := range keys {
-			cands[j] = int32(k & (1<<32 - 1))
-		}
-		sub, overlap = sub[:0], overlap[:0]
-		for _, id := range cands {
-			if sets[id].SubsetOf(kmax) {
-				sub = append(sub, int(id))
-			} else {
-				overlap = append(overlap, int(id))
+		// Split order[i..last] stably into sub, overlap and the span's
+		// non-candidates. Sets after last are disjoint from the seed and
+		// already follow everything that moves, so rewriting the span
+		// leaves the window reading sub < overlap < disjoint exactly as
+		// the reference loop does.
+		sub, overlap, disjoint = sub[:0], overlap[:0], disjoint[:0]
+		for _, id := range order[i : last+1] {
+			switch {
+			case !ix.Marked(id):
+				disjoint = append(disjoint, id)
+			case sets[id].SubsetOf(kmax):
+				sub = append(sub, id)
+			default:
+				overlap = append(overlap, id)
 			}
 		}
 		if clusters != nil {
@@ -180,25 +179,9 @@ func bimaxSortIndexed(sets []KeySet, order []int, clusters *[]Cluster, weights [
 				Weight:  weightOf(sub, weights),
 			})
 		}
-		if len(sub) == 1 && len(overlap) == 0 {
-			// The seed matched nothing: the window is unchanged.
-			i++
-			continue
-		}
-		// Rewrite order[i..last]: sub, then overlap, then the span's
-		// non-candidates in their existing order. Non-candidates after the
-		// last candidate are untouched — they are disjoint from the seed
-		// and already follow everything that moved, so the full window
-		// reads sub < overlap < disjoint exactly as the reference loop
-		// leaves it.
-		last := int(pos[cands[len(cands)-1]])
-		buf = append(append(buf[:0], sub...), overlap...)
-		for p := i; p <= last; p++ {
-			if id := order[p]; !ix.Marked(id) {
-				buf = append(buf, id)
-			}
-		}
-		copy(order[i:last+1], buf)
+		n := i + copy(order[i:], sub)
+		n += copy(order[n:], overlap)
+		copy(order[n:], disjoint)
 		for p := i; p <= last; p++ {
 			pos[order[p]] = int32(p)
 		}

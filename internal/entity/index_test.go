@@ -2,8 +2,11 @@ package entity
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"jxplain/internal/dataset"
 )
 
 // randomBag generates sets with clustered structure (a few "families"
@@ -141,6 +144,32 @@ func TestBimaxIndexedMatchesRef(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestBimaxIndexedMatchesRefOnWide pins the indexed loop to the reference
+// at scale, which the small random inputs above do not reach: the wide
+// datasets at 3,000 records dedup to 1,325–2,795 distinct key sets, so a
+// round's window span holds many non-candidates between its candidates.
+// Order, clusters and weights must all be identical.
+func TestBimaxIndexedMatchesRefOnWide(t *testing.T) {
+	for _, g := range dataset.WideRegistry() {
+		w, _ := DedupKeySets(topLevelKeySets(g.Generate(3000, 1), NewDict()))
+
+		refOrder := sizeDescending(w.Sets)
+		var refClusters []Cluster
+		bimaxSortRef(w.Sets, refOrder, &refClusters, w.Weights)
+
+		ixOrder := sizeDescending(w.Sets)
+		var ixClusters []Cluster
+		bimaxSortIndexed(w.Sets, ixOrder, &ixClusters, w.Weights)
+
+		if !slices.Equal(refOrder, ixOrder) {
+			t.Errorf("%s: indexed order diverges from the reference over %d distinct sets", g.Name, len(w.Sets))
+		}
+		if !clustersEqual(refClusters, ixClusters) {
+			t.Errorf("%s: indexed clusters diverge from the reference over %d distinct sets", g.Name, len(w.Sets))
+		}
 	}
 }
 

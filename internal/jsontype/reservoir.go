@@ -34,16 +34,16 @@ type ReservoirBag struct {
 	capacity int
 	seed     int64
 
-	entries  []reservoirEntry // slot-addressed; freed slots recycled
-	free     []int            // recycled slots
-	index    map[uint64]int   // intern id -> slot
-	heap     []int            // min-heap of active slots, weakest key at root
-	pos      []int            // slot -> heap position
-	nextSeq  uint64           // admission order, survives slot recycling
-	total    int              // retained occurrences
-	seen     int64            // occurrences offered, retained or not
-	dropped  int64            // occurrences lost to rejection or eviction
-	evicted  int              // eviction count
+	entries []reservoirEntry // slot-addressed; freed slots recycled
+	free    []int            // recycled slots
+	index   map[uint64]int   // intern id -> slot
+	heap    []int            // min-heap of active slots, weakest key at root
+	pos     []int            // slot -> heap position
+	nextSeq uint64           // admission order, survives slot recycling
+	total   int              // retained occurrences
+	seen    int64            // occurrences offered, retained or not
+	dropped int64            // occurrences lost to rejection or eviction
+	evicted int              // eviction count
 }
 
 type reservoirEntry struct {
