@@ -236,14 +236,33 @@ func BenchmarkJxplainPipeline(b *testing.B) {
 	}
 }
 
-// BenchmarkTypeExtraction measures JSON → structural-type decoding.
+// BenchmarkTypeExtraction measures JSON → structural-type decoding over
+// 2,000 github records, the record shape of bench/'s ingest workload. The
+// interner is warm after the first pass, as it is for all but the first
+// chunk of a CLI run.
 func BenchmarkTypeExtraction(b *testing.B) {
-	doc := []byte(`{"ts":7,"event":"login","user":{"name":"bob","geo":[1.1,2.2]},` +
-		`"tags":["a","b","c"],"meta":{"k1":1,"k2":2,"k3":3}}`)
-	b.SetBytes(int64(len(doc)))
-	for i := 0; i < b.N; i++ {
-		if _, err := jsontype.FromJSON(doc); err != nil {
+	g, ok := dataset.ByName("github")
+	if !ok {
+		b.Fatal("unknown dataset github")
+	}
+	records := g.Generate(2000, 1)
+	docs := make([][]byte, len(records))
+	size := 0
+	for i, r := range records {
+		doc, err := json.Marshal(r.Value)
+		if err != nil {
 			b.Fatal(err)
+		}
+		docs[i] = doc
+		size += len(doc)
+	}
+	b.SetBytes(int64(size))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, doc := range docs {
+			if _, err := jsontype.FromJSON(doc); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -197,9 +198,10 @@ func Each(ctx context.Context, r io.Reader, opts Options, fn func(Chunk) error) 
 func Records(r io.Reader, opts Options, fn func(rec []byte) error) error {
 	opts = opts.withDefaults()
 	if opts.JSONL {
-		scanner := bufio.NewScanner(r)
-		scanner.Buffer(make([]byte, 0, 1<<16), opts.MaxRecordBytes)
+		scanner := lineScanner(r, opts.MaxRecordBytes)
+		line := 0
 		for scanner.Scan() {
+			line++
 			data := scanner.Bytes()
 			if len(bytes.TrimSpace(data)) == 0 {
 				continue
@@ -208,7 +210,7 @@ func Records(r io.Reader, opts Options, fn func(rec []byte) error) error {
 				return err
 			}
 		}
-		return scanner.Err()
+		return lineError(scanner.Err(), line+1, opts.MaxRecordBytes)
 	}
 	dec := json.NewDecoder(bufio.NewReaderSize(r, 1<<16))
 	record := 0
@@ -238,8 +240,7 @@ func split(ctx context.Context, r io.Reader, opts Options, out chan<- rawChunk) 
 	}
 	index := 0
 	if opts.JSONL {
-		scanner := bufio.NewScanner(r)
-		scanner.Buffer(make([]byte, 0, 1<<16), opts.MaxRecordBytes)
+		scanner := lineScanner(r, opts.MaxRecordBytes)
 		var batch [][]byte
 		line, firstLine := 0, 0
 		for scanner.Scan() {
@@ -261,7 +262,7 @@ func split(ctx context.Context, r io.Reader, opts Options, out chan<- rawChunk) 
 			}
 		}
 		if err := scanner.Err(); err != nil {
-			return err
+			return lineError(err, line+1, opts.MaxRecordBytes)
 		}
 		if len(batch) > 0 {
 			return send(rawChunk{index: index, firstLine: firstLine, records: batch})
@@ -300,4 +301,23 @@ func split(ctx context.Context, r io.Reader, opts Options, out chan<- rawChunk) 
 		return send(rawChunk{index: index, firstLine: firstRecord, records: batch})
 	}
 	return nil
+}
+
+// lineScanner frames r as lines of at most maxRecord bytes, newline
+// included.
+func lineScanner(r io.Reader, maxRecord int) *bufio.Scanner {
+	scanner := bufio.NewScanner(r)
+	scanner.Buffer(make([]byte, 0, min(1<<16, maxRecord)), maxRecord)
+	return scanner
+}
+
+// lineError names the line a lineScanner stopped at when that line is
+// longer than maxRecord, keeping bufio.ErrTooLong reachable with
+// errors.Is. Other errors come from the reader and are returned as they
+// are.
+func lineError(err error, line, maxRecord int) error {
+	if errors.Is(err, bufio.ErrTooLong) {
+		return fmt.Errorf("line %d: record exceeds %d bytes: %w", line, maxRecord, err)
+	}
+	return err
 }

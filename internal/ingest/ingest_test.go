@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -86,6 +87,35 @@ func TestEachDecodeErrors(t *testing.T) {
 	_, err = Each(context.Background(), strings.NewReader(`{"a":`), Options{}, func(Chunk) error { return nil })
 	if err == nil {
 		t.Error("truncated input should fail")
+	}
+}
+
+// TestOversizedRecordNamesItsLine feeds an 80-byte record on line 3 to
+// both JSONL framers under a 64-byte cap: the error must name the line
+// and the cap, and still wrap bufio.ErrTooLong.
+func TestOversizedRecordNamesItsLine(t *testing.T) {
+	long := `{"k":"` + strings.Repeat("x", 72) + `"}`
+	if len(long) != 80 {
+		t.Fatalf("record is %d bytes, want 80", len(long))
+	}
+	input := "{\"a\":1}\n{\"a\":2}\n" + long + "\n{\"a\":3}\n"
+	opts := Options{JSONL: true, MaxRecordBytes: 64}
+	_, eachErr := Each(context.Background(), strings.NewReader(input), opts, func(Chunk) error { return nil })
+	recordsErr := Records(strings.NewReader(input), opts, func([]byte) error { return nil })
+	for _, c := range []struct {
+		name string
+		err  error
+	}{{"Each", eachErr}, {"Records", recordsErr}} {
+		name, err := c.name, c.err
+		if err == nil {
+			t.Fatalf("%s: oversized record accepted", name)
+		}
+		if !errors.Is(err, bufio.ErrTooLong) {
+			t.Errorf("%s: error %q does not wrap bufio.ErrTooLong", name, err)
+		}
+		if !strings.HasPrefix(err.Error(), "line 3: record exceeds 64 bytes: ") {
+			t.Errorf("%s: error %q does not name line 3 and the 64-byte cap", name, err)
+		}
 	}
 }
 

@@ -65,6 +65,11 @@ func FuzzScan(f *testing.F) {
 		` { "padded" : [ 1 , 2 ] } `,
 		`{"":0}`, `[[[[1]]]]`,
 		`01`, `1e999`, `{"a":`, `"unterminated`,
+		// Word boundaries of the 8-byte string search (see scan_test.go).
+		`"abcdefg\"ijklmnop"`, `{"abcdefg\\":"abcdefgh"}`,
+		`{"abcdefgh\u00e9":1,"abcdefghé":2}`, `{"a\u0062":"x","ab":1}`,
+		`["abcdefgé","abcdefghijklmno€"]`, `{"abcdefghijklmnop":{"abcdefghijklmnopq":[]}}`,
+		`"abcdefgh`, `{"abcdefg\`, `"abcdefghijklmno\"`, `{"abcdefghijklmnop`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

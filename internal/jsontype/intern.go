@@ -1,18 +1,27 @@
 package jsontype
 
 import (
-	"encoding/binary"
 	"sync"
 	"sync/atomic"
 )
 
 // Hash-consing interner. Every complex Type is registered in a sharded
-// global table at construction, keyed by a 64-bit structural hash (FNV-1a
-// over the kind, the child type ids, and — for objects — the field keys).
-// Child ids are unique by induction (children are interned before their
-// parent), so the hash covers the whole subtree in O(direct children)
-// work; hash collisions are resolved by a shallow structural scan of the
-// bucket, which again only compares child *pointers*.
+// global table at construction, keyed by a 64-bit structural hash built
+// from words by mix. An array's hash mixes its children's ids in order. An
+// object's hash is the sum of its fields' hashes, each mixing the key's
+// hash and the child's id; the sum does not depend on field order, so the
+// scanner adds fields up as it reads them, before sorting. Child ids are
+// unique by induction (children are interned before their parent), so the
+// hash covers the whole subtree in O(direct children) word operations;
+// hash collisions are resolved by a shallow structural scan of the
+// bucket, which again only compares keys and child *pointers*.
+//
+// A key's hash is keyHash of the decoded key. NewObject computes it per
+// field; the byte scanner computes it once per distinct raw key and
+// caches it beside the decoded string (see keyTable in scan.go), so a
+// scanned object and a built object hash — and intern — identically. The
+// hash is process-local and only picks buckets: nothing serialized or
+// sampled depends on it (the reservoir draws from canonical strings).
 //
 // Consequences the rest of the system builds on:
 //
@@ -51,61 +60,68 @@ func init() {
 // newPrimitiveSingleton builds one of the four primitive singletons with a
 // fixed id and a pre-cached canonical form. Kinds are 0..3, ids 1..4.
 func newPrimitiveSingleton(k Kind, canon string) *Type {
-	t := &Type{kind: k, hash: hashPrimitive(k), id: uint64(k) + 1}
+	t := &Type{kind: k, id: uint64(k) + 1}
 	t.canon.Store(&canon)
 	return t
 }
 
-// FNV-1a 64-bit.
+// FNV-1a 64-bit, for key hashes and the reservoir's canonical-string draw.
 const (
 	fnvOffset = 14695981039346656037
 	fnvPrime  = 1099511628211
 )
 
 //jx:hotpath
-func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime }
-
-//jx:hotpath
-func fnvUint64(h uint64, v uint64) uint64 {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	for _, b := range buf {
-		h = fnvByte(h, b)
-	}
-	return h
-}
-
-//jx:hotpath
 func fnvString(h uint64, s string) uint64 {
 	for i := 0; i < len(s); i++ {
-		h = fnvByte(h, s[i])
+		h = (h ^ uint64(s[i])) * fnvPrime
 	}
 	return h
 }
 
+// keyHash is the hash an object key contributes to its field's hash.
+//
 //jx:hotpath
-func hashPrimitive(k Kind) uint64 {
-	return fnvByte(fnvOffset, byte(k))
+func keyHash(key string) uint64 { return fnvString(fnvOffset, key) }
+
+// Seeds of the array and field hashes.
+const (
+	arraySeed = 0x243f6a8885a308d3
+	fieldSeed = 0x13198a2e03707344
+)
+
+// mix folds one word into a running hash: an xor, a multiply by an odd
+// constant, and an xor-shift that carries the product's high bits down to
+// the low ones the shard index reads.
+//
+//jx:hotpath
+func mix(h, w uint64) uint64 {
+	h = (h ^ w) * 0xbf58476d1ce4e5b9
+	return h ^ h>>31
 }
 
 //jx:hotpath
 func hashArray(elems []*Type) uint64 {
-	h := fnvByte(fnvOffset, byte(KindArray))
+	h := uint64(arraySeed)
 	for _, e := range elems {
-		h = fnvUint64(h, e.id)
+		h = mix(h, e.id)
 	}
 	return h
 }
 
+// fieldHash is one object field's term of its object's hash, from the
+// key's keyHash kh and the child t.
+//
 //jx:hotpath
-func hashObject(fields []Field) uint64 {
-	h := fnvByte(fnvOffset, byte(KindObject))
+func fieldHash(kh uint64, t *Type) uint64 { return mix(mix(fieldSeed, kh), t.id) }
+
+// hashFields returns an object's hash, the sum of its fields' hashes.
+//
+//jx:hotpath
+func hashFields(fields []Field) uint64 {
+	var h uint64
 	for _, f := range fields {
-		// NUL-terminated key then child id; a key containing NUL can at
-		// worst alias another hash input, which the bucket scan resolves.
-		h = fnvString(h, f.Key)
-		h = fnvByte(h, 0)
-		h = fnvUint64(h, f.Type.id)
+		h += fieldHash(keyHash(f.Key), f.Type)
 	}
 	return h
 }
@@ -138,27 +154,19 @@ func internArraySlice(elems []*Type, scratch bool) *Type {
 	if scratch {
 		elems = append([]*Type(nil), elems...)
 	}
-	t := &Type{kind: KindArray, elems: elems, hash: h, id: internNextID.Add(1)}
+	t := &Type{kind: KindArray, elems: elems, id: internNextID.Add(1)}
 	shard.m[h] = append(shard.m[h], t)
 	shard.mu.Unlock()
 	return t
 }
 
-// internObject returns the canonical *Type for the key-sorted fields. The
-// slice is retained on a miss.
+// internObject returns the canonical *Type for the key-sorted fields,
+// whose hashFields hash is h. With scratch set the slice is copied on a
+// miss and never retained (see internArrayScratch); otherwise it is
+// retained.
 //
 //jx:hotpath
-func internObject(fields []Field) *Type { return internObjectSlice(fields, false) }
-
-// internObjectScratch is internObject with copy-on-miss semantics (see
-// internArrayScratch).
-//
-//jx:hotpath
-func internObjectScratch(fields []Field) *Type { return internObjectSlice(fields, true) }
-
-//jx:hotpath
-func internObjectSlice(fields []Field, scratch bool) *Type {
-	h := hashObject(fields)
+func internObject(h uint64, fields []Field, scratch bool) *Type {
 	shard := &internShards[h&(internShardCount-1)]
 	shard.mu.Lock()
 	for _, c := range shard.m[h] {
@@ -170,7 +178,7 @@ func internObjectSlice(fields []Field, scratch bool) *Type {
 	if scratch {
 		fields = append([]Field(nil), fields...)
 	}
-	t := &Type{kind: KindObject, fields: fields, hash: h, id: internNextID.Add(1)}
+	t := &Type{kind: KindObject, fields: fields, id: internNextID.Add(1)}
 	shard.m[h] = append(shard.m[h], t)
 	shard.mu.Unlock()
 	return t

@@ -9,11 +9,12 @@ import (
 // TestConcurrentIntern races 8 goroutines over the same set of novel
 // array and object shapes, each starting at a different offset so first
 // interns (misses) and repeat lookups (hits) interleave on every shard.
-// Half the goroutines take the retaining path, half the scratch path with
-// a reused buffer. Every goroutine must get the identical *Type for each
-// shape, each distinct shape must get its own id, and the interner must
-// grow by exactly the number of distinct shapes. Run under -race it also
-// checks the shard locking.
+// Half the goroutines build the shapes with NewObject and NewArray, which
+// retain their slices; half scan the same shapes from JSON text, which
+// copies the scanner's stacks on a miss. Every goroutine must get the
+// identical *Type for each shape, each distinct shape must get its own
+// id, and the interner must grow by exactly the number of distinct
+// shapes. Run under -race it also checks the shard locking.
 func TestConcurrentIntern(t *testing.T) {
 	const (
 		goroutines = 8
@@ -23,23 +24,21 @@ func TestConcurrentIntern(t *testing.T) {
 	// outer = {k: list, w: inner}, where k embeds the interner's size at
 	// the start so that every run (-count=N) interns fresh shapes.
 	before := InternedTypes()
-	build := func(i int, scratch bool, elems []*Type, fields []Field) [3]*Type {
+	build := func(i int, scan bool) ([3]*Type, error) {
 		key := "ci" + strconv.FormatUint(before, 10) + "." + strconv.Itoa(i)
-		mkObj := func(fs []Field) *Type {
-			if scratch {
-				return internObjectScratch(append(fields[:0], fs...))
+		if scan {
+			inner := `{"` + key + `":1,"tag":"x"}`
+			outer, err := FromJSON([]byte(`{"` + key + `":[` + inner + `,null],"w":` + inner + `}`))
+			if err != nil {
+				return [3]*Type{}, err
 			}
-			return NewObject(fs)
+			list := outer.Field(key)
+			return [3]*Type{list.Elem(0), list, outer}, nil
 		}
-		inner := mkObj([]Field{{Key: key, Type: Number}, {Key: "tag", Type: String}})
-		var list *Type
-		if scratch {
-			list = internArrayScratch(append(elems[:0], inner, Null))
-		} else {
-			list = NewArray([]*Type{inner, Null})
-		}
-		outer := mkObj([]Field{{Key: key, Type: list}, {Key: "w", Type: inner}})
-		return [3]*Type{inner, list, outer}
+		inner := NewObject([]Field{{Key: key, Type: Number}, {Key: "tag", Type: String}})
+		list := NewArray([]*Type{inner, Null})
+		outer := NewObject([]Field{{Key: key, Type: list}, {Key: "w", Type: inner}})
+		return [3]*Type{inner, list, outer}, nil
 	}
 
 	got := make([][][3]*Type, goroutines)
@@ -49,15 +48,21 @@ func TestConcurrentIntern(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			out := make([][3]*Type, shapes)
-			elems, fields := make([]*Type, 0, 2), make([]Field, 0, 2)
 			for k := 0; k < shapes; k++ {
 				i := (k + g*shapes/goroutines) % shapes
-				out[i] = build(i, g%2 == 1, elems, fields)
+				var err error
+				if out[i], err = build(i, g%2 == 1); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 			got[g] = out
 		}(g)
 	}
 	wg.Wait()
+	if t.Failed() {
+		return
+	}
 
 	ids := map[uint64]string{}
 	for i := 0; i < shapes; i++ {

@@ -3,6 +3,7 @@ package jsontype
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 
@@ -23,8 +24,9 @@ func DecodeLines(r io.Reader, workers int) ([]*Type, error) {
 		data   []byte
 	}
 	var lines []line
+	const maxLine = 1 << 26
 	scanner := bufio.NewScanner(r)
-	scanner.Buffer(make([]byte, 0, 1<<16), 1<<26)
+	scanner.Buffer(make([]byte, 0, 1<<16), maxLine)
 	n := 0
 	for scanner.Scan() {
 		n++
@@ -35,6 +37,9 @@ func DecodeLines(r io.Reader, workers int) ([]*Type, error) {
 		lines = append(lines, line{number: n, data: append([]byte(nil), data...)})
 	}
 	if err := scanner.Err(); err != nil {
+		if errors.Is(err, bufio.ErrTooLong) {
+			err = fmt.Errorf("line %d: record exceeds %d bytes: %w", n+1, maxLine, err)
+		}
 		return nil, err
 	}
 

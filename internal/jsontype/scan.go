@@ -1,8 +1,10 @@
 package jsontype
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 )
@@ -12,26 +14,38 @@ import (
 // per key and value, one json.Number per number); since discovery only
 // needs the *shape*, this scanner walks the bytes itself and allocates
 // only for structure it has never seen: object keys are cached in a
-// per-scanner string table, child slices live on reusable stacks, and the
+// per-scanner key table, child slices live on reusable stacks, and the
 // interner copies a slice only when the type is genuinely new. In steady
 // state — every distinct type already interned — scanning a record
 // performs no heap allocation at all.
 //
-// The scanner validates structure (delimiters, literals, string framing)
-// but is lenient inside numbers: any run of number characters is accepted
-// where encoding/json would reject malformed exponents. Discovery treats
-// all numbers as ℝ, so the distinction cannot change a schema.
+// Strings are read a word at a time: each 8-byte load is searched for '"'
+// and '\' with a few integer operations (stringStop). An object key's
+// words are mixed into a raw-key hash by the same loop that finds its
+// closing quote, and that hash indexes the key table, which yields the
+// decoded key together with its keyHash (intern.go). So each key byte is
+// read once, and each field adds one fieldHash, built from its key's
+// hash and its child's id, to its object's intern hash.
+//
+// The scanner validates framing only: delimiters, literals, and where
+// each string ends. It does not validate string contents — escape
+// sequences and control characters inside a string are skipped, not
+// checked — and it is lenient inside numbers: any run of number
+// characters is accepted where encoding/json would reject malformed
+// exponents. Discovery treats every string as 𝕊 and every number as ℝ, so
+// neither leniency can change a schema. Only an escaped object key is
+// decoded, once, by encoding/json.
 type typeScanner struct {
 	data []byte
 	pos  int
 
-	keys   map[string]string // raw key bytes -> canonical decoded string
-	fields []Field           // shared stack for in-flight object fields
-	elems  []*Type           // shared stack for in-flight array elements
+	keys   keyTable // raw key bytes -> decoded key and its keyHash
+	fields []Field  // shared stack for in-flight object fields
+	elems  []*Type  // shared stack for in-flight array elements
 }
 
 var scannerPool = sync.Pool{
-	New: func() any { return &typeScanner{keys: map[string]string{}} },
+	New: func() any { return new(typeScanner) },
 }
 
 // scanOne scans a single JSON value; trailing non-space content is an
@@ -154,92 +168,228 @@ func (s *typeScanner) number() (*Type, error) {
 	return Number, nil
 }
 
+// Word-at-a-time string search. A byte of w equals c exactly where
+// x = w ^ (lowBits*c) has a zero byte, and (x-lowBits) &^ x & highBits sets
+// the high bit of x's lowest zero byte. Bytes above it may be flagged too,
+// through the borrow, but the lowest flag is always exact, and the lowest
+// is the only one read.
+const (
+	lowBits  = 0x0101010101010101
+	highBits = 0x8080808080808080
+)
+
+// loadWord reads the little-endian word at data[i:], padded with zero
+// bytes past the end of data; a zero byte is neither '"' nor '\'.
+//
+//jx:hotpath
+func loadWord(data []byte, i int) uint64 {
+	if len(data)-i >= 8 {
+		return binary.LittleEndian.Uint64(data[i:])
+	}
+	var buf [8]byte
+	copy(buf[:], data[i:])
+	return binary.LittleEndian.Uint64(buf[:])
+}
+
+// stringStop returns the index, 0 to 7, of the first '"' or '\' byte of
+// the word w, or 8 if w holds neither.
+//
+//jx:hotpath
+func stringStop(w uint64) int {
+	q := w ^ (lowBits * '"')
+	b := w ^ (lowBits * '\\')
+	return bits.TrailingZeros64(((q-lowBits)&^q|(b-lowBits)&^b)&highBits) >> 3
+}
+
 // skipString consumes a string value without decoding it; only its kind
 // matters.
 //
 //jx:hotpath
 func (s *typeScanner) skipString() error {
-	s.pos++ // opening quote
-	for s.pos < len(s.data) {
-		switch s.data[s.pos] {
-		case '\\':
-			s.pos += 2
-		case '"':
-			s.pos++
-			return nil
-		default:
-			s.pos++
+	i := s.pos + 1 // past the opening quote
+	for i < len(s.data) {
+		n := stringStop(loadWord(s.data, i))
+		i += n
+		if n == 8 {
+			continue
 		}
+		if s.data[i] == '"' {
+			s.pos = i + 1
+			return nil
+		}
+		i += 2 // the backslash and the byte it escapes
 	}
+	s.pos = len(s.data)
 	return s.errf("unterminated string")
 }
 
-// key consumes an object key and returns its canonical string: each
-// distinct raw byte sequence is decoded once and cached, so repeated
-// records share key strings instead of allocating one per occurrence.
+// rawKeySeed starts the raw-key hash of key and escapedKey.
+const rawKeySeed = 0xa4093822299f31d0
+
+// key consumes an object key and returns its decoded string and keyHash.
+// The loop that finds the closing quote mixes each word of the key into a
+// raw-key hash, and the key table maps the raw bytes to the decoded key
+// and its keyHash, so a key read before is neither decoded nor hashed
+// again, and costs no allocation. A key with an escape leaves the loop
+// for escapedKey.
 //
 //jx:hotpath
-func (s *typeScanner) key() (string, error) {
+func (s *typeScanner) key() (string, uint64, error) {
 	start := s.pos + 1
-	escaped := false
-	s.pos++
-	for s.pos < len(s.data) {
-		switch s.data[s.pos] {
-		case '\\':
-			escaped = true
-			s.pos += 2
-		case '"':
-			raw := s.data[start:s.pos]
-			quoted := s.data[start-1 : s.pos+1]
-			s.pos++
-			if k, ok := s.keys[string(raw)]; ok { // no-alloc lookup
-				return k, nil
-			}
-			return s.internKey(raw, quoted, escaped)
-		default:
-			s.pos++
+	h := uint64(rawKeySeed)
+	for i := start; i < len(s.data); {
+		w := loadWord(s.data, i)
+		n := stringStop(w)
+		if n == 8 {
+			h = mix(h, w)
+			i += 8
+			continue
 		}
+		i += n
+		if s.data[i] == '\\' {
+			return s.escapedKey(start)
+		}
+		h = mix(h, w&(1<<(8*n)-1)) // the key's bytes of the last word
+		s.pos = i + 1
+		if e := s.keys.find(h, s.data[start:i]); e != nil {
+			return e.key, e.hash, nil
+		}
+		return s.internKey(h, s.data[start-1:i+1], false)
 	}
-	return "", s.errf("unterminated string")
+	s.pos = len(s.data)
+	return "", 0, s.errf("unterminated string")
 }
 
-// internKey decodes a key seen for the first time and caches it under its
-// raw bytes. It runs once per distinct raw key byte sequence — cold by
-// construction — so it may allocate (the cache entry) and lean on
-// encoding/json for escape decoding.
+// escapedKey finishes a key that holds an escape: it skips to the closing
+// quote and looks the raw bytes up in the key table under a hash of their
+// words. A raw key with an escape always comes here and one without never
+// does, so this hash need not agree with key's.
 //
-//jx:coldpath runs once per distinct raw key; steady state hits the keys cache
-func (s *typeScanner) internKey(raw, quoted []byte, escaped bool) (string, error) {
-	var k string
+//jx:hotpath
+func (s *typeScanner) escapedKey(start int) (string, uint64, error) {
+	s.pos = start - 1
+	if err := s.skipString(); err != nil {
+		return "", 0, err
+	}
+	raw := s.data[start : s.pos-1]
+	h := uint64(rawKeySeed)
+	for i := 0; i < len(raw); i += 8 {
+		h = mix(h, loadWord(raw, i))
+	}
+	if e := s.keys.find(h, raw); e != nil {
+		return e.key, e.hash, nil
+	}
+	return s.internKey(h, s.data[start-1:s.pos], true)
+}
+
+// internKey decodes a key seen for the first time and adds it to the key
+// table under the raw hash h. It runs once per distinct raw key byte
+// sequence — cold by construction — so it may allocate and lean on
+// encoding/json for escape decoding. An unescaped key's raw and decoded
+// strings are one string.
+//
+//jx:coldpath runs once per distinct raw key; steady state hits the key table
+func (s *typeScanner) internKey(h uint64, quoted []byte, escaped bool) (string, uint64, error) {
+	raw := string(quoted[1 : len(quoted)-1])
+	k := raw
 	if escaped {
 		if err := json.Unmarshal(quoted, &k); err != nil {
-			return "", s.errf("invalid object key")
+			return "", 0, s.errf("invalid object key")
 		}
-	} else {
-		k = string(raw)
 	}
-	s.keys[string(raw)] = k
-	return k, nil
+	kh := keyHash(k)
+	s.keys.insert(keyEntry{raw: raw, key: k, rawHash: h, hash: kh})
+	return k, kh, nil
+}
+
+// keyTable maps each distinct raw key a scanner has read — the bytes
+// between the quotes — to its decoded string and keyHash. It is
+// open-addressed with linear probing, indexed by the top bits of the raw
+// hash (the ones mix spreads best), and kept at most half full. A hit is
+// confirmed by comparing the raw bytes, so the raw hash may be any
+// function of them.
+type keyTable struct {
+	slots []keyEntry // length a power of two, or zero before the first key
+	shift uint       // 64 - log2(len(slots))
+	n     int        // occupied slots
+}
+
+type keyEntry struct {
+	raw     string // raw key bytes; the same string as key when unescaped
+	key     string // decoded key
+	rawHash uint64
+	hash    uint64 // keyHash(key)
+	full    bool
+}
+
+// find returns the entry for raw, whose raw hash is h, or nil.
+//
+//jx:hotpath
+func (t *keyTable) find(h uint64, raw []byte) *keyEntry {
+	if len(t.slots) == 0 {
+		return nil
+	}
+	mask := uint64(len(t.slots) - 1)
+	for i := h >> t.shift; ; i = (i + 1) & mask {
+		e := &t.slots[i]
+		if !e.full {
+			return nil
+		}
+		if e.rawHash == h && e.raw == string(raw) { // comparison: no copy
+			return e
+		}
+	}
+}
+
+// insert adds an entry absent from the table, doubling the table first
+// when that would fill more than half of it.
+//
+//jx:coldpath runs once per distinct raw key
+func (t *keyTable) insert(e keyEntry) {
+	if 2*(t.n+1) > len(t.slots) {
+		old := t.slots
+		size := max(64, 2*len(old))
+		t.slots, t.shift, t.n = make([]keyEntry, size), uint(64-bits.TrailingZeros(uint(size))), 0
+		for _, o := range old {
+			if o.full {
+				t.place(o)
+			}
+		}
+	}
+	t.place(e)
+}
+
+// place stores e in the first free slot from its home slot on.
+func (t *keyTable) place(e keyEntry) {
+	mask := uint64(len(t.slots) - 1)
+	i := e.rawHash >> t.shift
+	for t.slots[i].full {
+		i = (i + 1) & mask
+	}
+	e.full = true
+	t.slots[i] = e
+	t.n++
 }
 
 //jx:hotpath
 func (s *typeScanner) object() (*Type, error) {
 	s.pos++ // '{'
 	mark := len(s.fields)
+	var h uint64 // hashFields of the fields read so far
 	s.skipSpace()
 	if s.pos >= len(s.data) {
 		return nil, s.errf("unterminated object")
 	}
 	if s.data[s.pos] == '}' {
 		s.pos++
-		return internObjectScratch(nil), nil
+		return internObject(hashFields(nil), nil, true), nil
 	}
 	for {
 		s.skipSpace()
 		if s.pos >= len(s.data) || s.data[s.pos] != '"' {
 			return nil, s.errf("expected object key")
 		}
-		key, err := s.key()
+		key, kh, err := s.key()
 		if err != nil {
 			return nil, err
 		}
@@ -253,6 +403,7 @@ func (s *typeScanner) object() (*Type, error) {
 			return nil, err
 		}
 		s.fields = append(s.fields, Field{Key: key, Type: v})
+		h += fieldHash(kh, v)
 		s.skipSpace()
 		if s.pos >= len(s.data) {
 			return nil, s.errf("unterminated object")
@@ -280,7 +431,10 @@ func (s *typeScanner) object() (*Type, error) {
 			w++
 		}
 	}
-	t := internObjectScratch(seg[:w])
+	if w < len(seg) {
+		h = hashFields(seg[:w]) // h also summed the overwritten fields
+	}
+	t := internObject(h, seg[:w], true)
 	s.fields = s.fields[:mark]
 	return t, nil
 }

@@ -1,0 +1,73 @@
+package jsontype
+
+import (
+	"encoding/json"
+	"testing"
+)
+
+// wordBoundaryBodies returns string contents of 0 to 17 letters that put
+// the scanner's 8-byte string search on its edges: each of the escapes
+// \", \\ and \u00e9 at every offset, and multi-byte UTF-8 (bytes ≥ 0x80)
+// right before the closing quote.
+func wordBoundaryBodies() []string {
+	const letters = "abcdefghijklmnopq"
+	var bodies []string
+	for n := 0; n <= len(letters); n++ {
+		plain := letters[:n]
+		bodies = append(bodies, plain, plain+"é", plain+"€")
+		for _, esc := range []string{`\"`, `\\`, `\u00e9`} {
+			for o := 0; o <= n; o++ {
+				bodies = append(bodies, plain[:o]+esc+plain[o:])
+			}
+		}
+	}
+	return bodies
+}
+
+// TestScanWordBoundaries drives every body through the scanner as a key
+// and as a string value, including a string that ends on the buffer's
+// last byte so the final 8-byte load reaches past the data. Accepted
+// documents must intern to the same pointer as FromValue of the
+// encoding/json decoding; documents whose last string is unterminated
+// must be rejected. One of them fails inside a nested object, with fields
+// on the scanner's stack, so the scans after it check that the pooled
+// scanner starts clean.
+func TestScanWordBoundaries(t *testing.T) {
+	for _, body := range wordBoundaryBodies() {
+		str := `"` + body + `"`
+		for _, doc := range []string{
+			str,
+			`{` + str + `:` + str + `}`,
+			`[{` + str + `:1,"z":[` + str + `]},` + str + `]`,
+			`{"k":0,` + str + `:null,` + str + `:true}`,
+		} {
+			var v any
+			if err := json.Unmarshal([]byte(doc), &v); err != nil {
+				t.Fatalf("test document %q is not JSON: %v", doc, err)
+			}
+			want := MustFromValue(v)
+			// Twice: the second scan reads each key from the key table.
+			for pass := 0; pass < 2; pass++ {
+				got, err := FromJSON([]byte(doc))
+				if err != nil {
+					t.Fatalf("scanner rejects %q: %v", doc, err)
+				}
+				if got != want {
+					t.Fatalf("%q: scanner %v, encoding/json %v", doc, got, want)
+				}
+			}
+		}
+		for _, doc := range []string{
+			`"` + body,
+			`{"` + body,
+			`{"k":"` + body,
+			`{"k":0,"o":{"k":0,"v":"` + body,
+			`"` + body + `\`,
+			`{"` + body + `\`,
+		} {
+			if _, err := FromJSON([]byte(doc)); err == nil {
+				t.Errorf("unterminated %q accepted", doc)
+			}
+		}
+	}
+}

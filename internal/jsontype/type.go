@@ -80,7 +80,6 @@ type Type struct {
 	kind   Kind
 	elems  []*Type                // array positions
 	fields []Field                // object fields, key-sorted
-	hash   uint64                 // structural hash (intern bucket key)
 	id     uint64                 // dense unique id, assigned at intern time
 	canon  atomic.Pointer[string] // lazily built canonical form
 }
@@ -127,7 +126,7 @@ func NewObject(fields []Field) *Type {
 			panic("jsontype: duplicate object key " + fields[i].Key)
 		}
 	}
-	return internObject(fields)
+	return internObject(hashFields(fields), fields, false)
 }
 
 // Kind returns the kind of the type.
@@ -205,11 +204,6 @@ func (t *Type) KeySet() map[string]bool {
 //
 //jx:hotpath
 func (t *Type) ID() uint64 { return t.id }
-
-// Hash returns the 64-bit structural hash the interner bucketed the type
-// under. Unlike ID it is a hash — equal types share it, unequal types
-// almost always differ — useful for composing set-level memo keys.
-func (t *Type) Hash() uint64 { return t.hash }
 
 // Canon returns the canonical string form of the type. Two types are
 // structurally equal iff their canonical forms are equal. The form is
