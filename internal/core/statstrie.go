@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"jxplain/internal/entropy"
@@ -17,9 +19,19 @@ import (
 // have produced (see PathSketch for the fold, wire.go for the serialized
 // form).
 //
-// Node state is deliberately enumerable, not just walkable: the each*
-// iterators expose every counter in a deterministic order and the set*
-// builders reconstruct a node from those enumerations, so the wire codec
+// Nodes exist only for object and array values. A primitive occurrence is
+// counted in full by its parent — a presence count in keyCounts or a
+// length in lenCounts, plus the parent's similarity accumulator — so a
+// node of its own would hold nothing. children has no entry for a key
+// whose values were all primitive, and elems holds nil at a position that
+// only ever held primitives, so every later position keeps its index.
+// elems never ends in nil: positions are added only up to the last one
+// that needs a node, which keeps the encoding of equal statistics
+// identical whichever fold built them.
+//
+// Node state is deliberately enumerable, not just walkable: the append*
+// helpers list every counter in a deterministic order and the set*
+// builders reconstruct a node from those lists, so the wire codec
 // round-trips a trie without reaching into representation details like
 // map layout or accumulator internals.
 type statsTrie struct {
@@ -33,8 +45,8 @@ type statsTrie struct {
 	lenCounts map[int]int
 	arrSim    jsontype.SimilarityAccumulator
 
-	children map[string]*statsTrie // object keys
-	elems    []*statsTrie          // array positions
+	children map[string]*statsTrie // object keys with an object or array value
+	elems    []*statsTrie          // array positions; nil where no node is needed
 }
 
 // newStatsTrie allocates an empty trie node.
@@ -57,13 +69,23 @@ func (t *statsTrie) child(key string) *statsTrie {
 
 //jx:hotpath
 func (t *statsTrie) elem(i int) *statsTrie {
-	for len(t.elems) <= i {
-		t.elems = append(t.elems, newStatsTrie())
+	if i >= len(t.elems) || t.elems[i] == nil {
+		t.attachElem(i, newStatsTrie())
 	}
 	return t.elems[i]
 }
 
-// add folds one value type (with multiplicity n) into the trie.
+// hasNode reports whether a value of type ty gets a trie node of its own:
+// only objects and arrays carry statistics below their parent.
+//
+//jx:hotpath
+func hasNode(ty *jsontype.Type) bool {
+	k := ty.Kind()
+	return k == jsontype.KindObject || k == jsontype.KindArray
+}
+
+// add folds one value type (with multiplicity n) into the trie. Only
+// object and array values descend into a child or element node.
 //
 //jx:hotpath
 func (t *statsTrie) add(ty *jsontype.Type, n int) {
@@ -76,7 +98,9 @@ func (t *statsTrie) add(ty *jsontype.Type, n int) {
 		for _, f := range ty.Fields() {
 			t.keyCounts[f.Key] += n
 			t.objSim.Add(f.Type)
-			t.child(f.Key).add(f.Type, n)
+			if hasNode(f.Type) {
+				t.child(f.Key).add(f.Type, n)
+			}
 		}
 	case jsontype.KindArray:
 		t.arrCount += n
@@ -86,11 +110,14 @@ func (t *statsTrie) add(ty *jsontype.Type, n int) {
 		t.lenCounts[ty.Len()] += n
 		for i, e := range ty.Elems() {
 			t.arrSim.Add(e)
-			t.elem(i).add(e, n)
+			if hasNode(e) {
+				t.elem(i).add(e, n)
+			}
 		}
 	default:
-		// Primitive occurrences carry no per-node stats of their own;
-		// they are counted by the parent's key/length distributions.
+		// A primitive record at the root has no statistics to record.
+		// Below the root a primitive never reaches add: its occurrence is
+		// counted by the parent's key/length distributions.
 	}
 }
 
@@ -132,7 +159,9 @@ func (t *statsTrie) combine(other *statsTrie) *statsTrie {
 		}
 	}
 	for i, oe := range other.elems {
-		t.elem(i).combine(oe)
+		if oe != nil {
+			t.elem(i).combine(oe)
+		}
 	}
 	return t
 }
@@ -163,7 +192,9 @@ func (t *statsTrie) combineShared(other *statsTrie) *statsTrie {
 		t.child(k).combineShared(oc)
 	}
 	for i, oe := range other.elems {
-		t.elem(i).combineShared(oe)
+		if oe != nil {
+			t.elem(i).combineShared(oe)
+		}
 	}
 	return t
 }
@@ -209,10 +240,12 @@ func (t *statsTrie) decay(factor float64) {
 		t.children = nil
 	}
 	for _, e := range t.elems {
-		e.decay(factor)
+		if e != nil {
+			e.decay(factor)
+		}
 	}
-	for len(t.elems) > 0 && t.elems[len(t.elems)-1].decayedOut() {
-		t.elems = t.elems[:len(t.elems)-1]
+	for n := len(t.elems); n > 0 && (t.elems[n-1] == nil || t.elems[n-1].decayedOut()); n-- {
+		t.elems = t.elems[:n-1]
 	}
 }
 
@@ -229,7 +262,7 @@ func (t *statsTrie) decayedOut() bool {
 		}
 	}
 	for _, e := range t.elems {
-		if !e.decayedOut() {
+		if e != nil && !e.decayedOut() {
 			return false
 		}
 	}
@@ -244,44 +277,46 @@ func (t *statsTrie) nodeCount() int {
 		n += c.nodeCount()
 	}
 	for _, e := range t.elems {
-		n += e.nodeCount()
+		if e != nil {
+			n += e.nodeCount()
+		}
 	}
 	return n
 }
 
 // ---- enumerable node state (the encode side of the wire codec) ----
 
-// eachKeyCount calls fn for every (key, presence count) pair in sorted
-// key order.
-func (t *statsTrie) eachKeyCount(fn func(key string, n int)) {
-	keys := make([]string, 0, len(t.keyCounts))
-	for k := range t.keyCounts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fn(k, t.keyCounts[k])
-	}
+// keyCount is one entry of a node's key-presence distribution.
+type keyCount struct {
+	key string
+	n   int
 }
 
-// eachLenCount calls fn for every (array length, count) pair in ascending
-// length order.
-func (t *statsTrie) eachLenCount(fn func(length, n int)) {
-	lengths := make([]int, 0, len(t.lenCounts))
-	for l := range t.lenCounts {
-		lengths = append(lengths, l)
-	}
-	sort.Ints(lengths)
-	for _, l := range lengths {
-		fn(l, t.lenCounts[l])
-	}
+// lenCount is one entry of a node's array-length histogram.
+type lenCount struct {
+	length, n int
 }
 
-// eachChild calls fn for every named child in sorted key order.
-func (t *statsTrie) eachChild(fn func(key string, c *statsTrie)) {
-	for _, k := range sortedKeys(t.children) {
-		fn(k, t.children[k])
+// appendKeyCounts appends every (key, presence count) pair to dst in
+// sorted key order and returns the extended slice.
+func (t *statsTrie) appendKeyCounts(dst []keyCount) []keyCount {
+	start := len(dst)
+	for k, n := range t.keyCounts {
+		dst = append(dst, keyCount{k, n})
 	}
+	slices.SortFunc(dst[start:], func(a, b keyCount) int { return cmp.Compare(a.key, b.key) })
+	return dst
+}
+
+// appendLenCounts appends every (array length, count) pair to dst in
+// ascending length order and returns the extended slice.
+func (t *statsTrie) appendLenCounts(dst []lenCount) []lenCount {
+	start := len(dst)
+	for l, n := range t.lenCounts {
+		dst = append(dst, lenCount{l, n})
+	}
+	slices.SortFunc(dst[start:], func(a, b lenCount) int { return cmp.Compare(a.length, b.length) })
+	return dst
 }
 
 // ---- node builders (the decode side of the wire codec) ----
@@ -314,9 +349,15 @@ func (t *statsTrie) attachChild(key string, c *statsTrie) {
 	t.children[key] = c
 }
 
-// attachElem appends a decoded subtree at the next array position.
-func (t *statsTrie) attachElem(c *statsTrie) {
-	t.elems = append(t.elems, c)
+// attachElem links a subtree at array position i, padding the positions
+// before it with nil.
+//
+//jx:hotpath
+func (t *statsTrie) attachElem(i int, c *statsTrie) {
+	for len(t.elems) <= i {
+		t.elems = append(t.elems, nil)
+	}
+	t.elems[i] = c
 }
 
 // ---- evidence derivation ----
@@ -327,10 +368,11 @@ func (t *statsTrie) objectEvidence() entropy.Evidence {
 	// Key order must be pinned before the float64 summation inside Entropy:
 	// FP addition is not associative, so map order would leak into the
 	// entropy bits (and differ from entropy.DetectObjects).
-	weights := make([]float64, 0, len(t.keyCounts))
-	t.eachKeyCount(func(_ string, n int) {
-		weights = append(weights, float64(n))
-	})
+	counts := t.appendKeyCounts(make([]keyCount, 0, len(t.keyCounts)))
+	weights := make([]float64, len(counts))
+	for i, kc := range counts {
+		weights[i] = float64(kc.n)
+	}
 	return entropy.Evidence{
 		KeyEntropy:   stats.Entropy(weights, float64(t.objCount)),
 		Similar:      t.objSim.Similar(),
@@ -342,10 +384,11 @@ func (t *statsTrie) objectEvidence() entropy.Evidence {
 // arrayEvidence renders the node's array statistics, matching
 // entropy.DetectArrays.
 func (t *statsTrie) arrayEvidence() entropy.Evidence {
-	weights := make([]float64, 0, len(t.lenCounts))
-	t.eachLenCount(func(_, n int) {
-		weights = append(weights, float64(n))
-	})
+	counts := t.appendLenCounts(make([]lenCount, 0, len(t.lenCounts)))
+	weights := make([]float64, len(counts))
+	for i, lc := range counts {
+		weights[i] = float64(lc.n)
+	}
 	return entropy.Evidence{
 		KeyEntropy:   stats.Entropy(weights, float64(t.arrCount)),
 		Similar:      t.arrSim.Similar(),
@@ -369,14 +412,18 @@ func (t *statsTrie) derive(path string, cfg Config, out *[]PathStat) {
 		if decision == entropy.Collection {
 			merged := newStatsTrie()
 			for _, e := range t.elems {
-				merged.combineShared(e)
+				if e != nil {
+					merged.combineShared(e)
+				}
 			}
 			if merged.objCount > 0 || merged.arrCount > 0 {
 				merged.derive(arrayElemPath(path), cfg, out)
 			}
 		} else {
 			for i, e := range t.elems {
-				e.derive(arrayIndexPath(path, i), cfg, out)
+				if e != nil {
+					e.derive(arrayIndexPath(path, i), cfg, out)
+				}
 			}
 		}
 	}

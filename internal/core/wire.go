@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"jxplain/internal/entity"
@@ -47,6 +49,15 @@ import (
 //	                          (length, n) ascending); similarity state
 //	             child count, then count × (key id, node), key-sorted
 //	             elem count, then count × node
+//
+//	     Child and element nodes exist only for object and array values
+//	     (see statsTrie): a key whose values were all primitive has no
+//	     child entry, and a primitive-only array position is written as an
+//	     empty node — four zero bytes — so every later element keeps its
+//	     index. Decoders create no node for an empty node, so a decoded or
+//	     merged trie also holds nodes only for objects and arrays. Files
+//	     written when primitives still had nodes of their own (empty ones)
+//	     decode to the same trie.
 //
 // Compatibility policy: any change to the layout above bumps the version
 // byte, and decoders reject versions they do not know with a typed
@@ -153,7 +164,32 @@ type sketchEncoder struct {
 	trieBuf []byte
 	keysBuf []byte
 	typeBuf []byte
+
+	// Node scratch, so that a warm walk allocates nothing. children is a
+	// stack: each node pushes its children sorted by key and pops them
+	// once the last one is written, so a parent's entries survive the
+	// pushes of its descendants. keyCounts, idCounts and lenCounts hold
+	// one node's statistics and are consumed before appendNode recurses.
+	children  []childEntry
+	keyCounts []keyCount
+	idCounts  []idCount
+	lenCounts []lenCount
 }
+
+// childEntry is one named child on the encoder's stack.
+type childEntry struct {
+	key  string
+	node *statsTrie
+}
+
+// idCount is one key-presence count under its dictionary id.
+type idCount struct {
+	id, n int
+}
+
+// emptyNodeLen is the size of an empty node: four zero varints (object
+// count, array count, child count, elem count).
+const emptyNodeLen = 4
 
 var sketchEncoderPool = sync.Pool{
 	New: func() any {
@@ -166,10 +202,12 @@ func getSketchEncoder() *sketchEncoder {
 }
 
 // release empties the dictionaries (keeping their capacity) and returns
-// the encoder to the pool.
+// the encoder to the pool. The child stack is cleared to its capacity so
+// that a pooled encoder does not keep the last trie it walked alive.
 func (e *sketchEncoder) release() {
 	clear(e.keys.ids)
 	e.keys.order = e.keys.order[:0]
+	clear(e.children[:cap(e.children)])
 	e.types.Reset()
 	sketchEncoderPool.Put(e)
 }
@@ -187,44 +225,74 @@ func (e *sketchEncoder) appendSim(buf []byte, sim *jsontype.SimilarityAccumulato
 	}
 }
 
-// appendNode appends one trie node, preorder.
+// appendKeySet appends a node's key set as a bitset over dictionary ids,
+// then one presence count per key in ascending id order. Keys new to the
+// dictionary get their ids in sorted key order.
+func (e *sketchEncoder) appendKeySet(buf []byte, t *statsTrie) []byte {
+	e.keyCounts = t.appendKeyCounts(e.keyCounts[:0])
+	ids := e.idCounts[:0]
+	for _, kc := range e.keyCounts {
+		ids = append(ids, idCount{e.keys.id(kc.key), kc.n})
+	}
+	slices.SortFunc(ids, func(a, b idCount) int { return cmp.Compare(a.id, b.id) })
+	e.idCounts = ids
+	words := 0
+	if len(ids) > 0 {
+		words = ids[len(ids)-1].id/64 + 1
+	}
+	buf = binary.AppendUvarint(buf, uint64(words))
+	next := 0
+	for w := 0; w < words; w++ {
+		var word uint64
+		for ; next < len(ids) && ids[next].id/64 == w; next++ {
+			word |= 1 << (ids[next].id % 64)
+		}
+		buf = binary.LittleEndian.AppendUint64(buf, word)
+	}
+	for _, ic := range ids {
+		buf = binary.AppendUvarint(buf, uint64(ic.n))
+	}
+	return buf
+}
+
+// appendNode appends one trie node, preorder. A nil element is written as
+// an empty node.
 func (e *sketchEncoder) appendNode(buf []byte, t *statsTrie) []byte {
 	buf = binary.AppendUvarint(buf, uint64(t.objCount))
 	if t.objCount > 0 {
-		ids := make([]int, 0, len(t.keyCounts))
-		counts := make(map[int]int, len(t.keyCounts))
-		t.eachKeyCount(func(key string, n int) {
-			id := e.keys.id(key)
-			ids = append(ids, id)
-			counts[id] = n
-		})
-		set := entity.NewKeySet(ids...)
-		buf = binary.AppendUvarint(buf, uint64(len(set)))
-		for _, w := range set {
-			buf = binary.LittleEndian.AppendUint64(buf, w)
-		}
-		set.Each(func(id int) {
-			buf = binary.AppendUvarint(buf, uint64(counts[id]))
-		})
+		buf = e.appendKeySet(buf, t)
 		buf = e.appendSim(buf, &t.objSim)
 	}
 	buf = binary.AppendUvarint(buf, uint64(t.arrCount))
 	if t.arrCount > 0 {
-		buf = binary.AppendUvarint(buf, uint64(len(t.lenCounts)))
-		t.eachLenCount(func(length, n int) {
-			buf = binary.AppendUvarint(buf, uint64(length))
-			buf = binary.AppendUvarint(buf, uint64(n))
-		})
+		e.lenCounts = t.appendLenCounts(e.lenCounts[:0])
+		buf = binary.AppendUvarint(buf, uint64(len(e.lenCounts)))
+		for _, lc := range e.lenCounts {
+			buf = binary.AppendUvarint(buf, uint64(lc.length))
+			buf = binary.AppendUvarint(buf, uint64(lc.n))
+		}
 		buf = e.appendSim(buf, &t.arrSim)
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(t.children)))
-	t.eachChild(func(key string, c *statsTrie) {
-		buf = binary.AppendUvarint(buf, uint64(e.keys.id(key)))
-		buf = e.appendNode(buf, c)
-	})
+	base := len(e.children)
+	for k, c := range t.children {
+		e.children = append(e.children, childEntry{k, c})
+	}
+	slices.SortFunc(e.children[base:], func(a, b childEntry) int { return cmp.Compare(a.key, b.key) })
+	for i := base; i < len(e.children); i++ {
+		// Index, not range: the recursion may grow (and move) the stack.
+		c := e.children[i]
+		buf = binary.AppendUvarint(buf, uint64(e.keys.id(c.key)))
+		buf = e.appendNode(buf, c.node)
+	}
+	e.children = e.children[:base]
 	buf = binary.AppendUvarint(buf, uint64(len(t.elems)))
 	for _, c := range t.elems {
-		buf = e.appendNode(buf, c)
+		if c == nil {
+			buf = append(buf, 0, 0, 0, 0) // an empty node
+		} else {
+			buf = e.appendNode(buf, c)
+		}
 	}
 	return buf
 }
@@ -579,6 +647,24 @@ func (d *sketchDecoder) decodeSim(sim *jsontype.SimilarityAccumulator) error {
 	return nil
 }
 
+// skipEmptyNode consumes an empty node if one comes next, reporting
+// whether it did.
+//
+//jx:hotpath
+func (d *sketchDecoder) skipEmptyNode() bool {
+	if len(d.data)-d.pos < emptyNodeLen {
+		return false
+	}
+	b := d.data[d.pos : d.pos+emptyNodeLen]
+	if b[0]|b[1]|b[2]|b[3] != 0 {
+		return false
+	}
+	d.pos += emptyNodeLen
+	return true
+}
+
+// decodeNode decodes one trie node, preorder. An empty child or element
+// node is consumed without creating a node for it.
 func (d *sketchDecoder) decodeNode(depth int) (*statsTrie, error) {
 	if depth > maxTrieDepth {
 		return nil, d.errf("trie deeper than %d", maxTrieDepth)
@@ -685,6 +771,9 @@ func (d *sketchDecoder) decodeNode(depth int) (*statsTrie, error) {
 			return nil, d.errf("children not key-sorted at id %d", id)
 		}
 		prevKey = int(id)
+		if d.skipEmptyNode() {
+			continue
+		}
 		c, err := d.decodeNode(depth + 1)
 		if err != nil {
 			return nil, err
@@ -696,11 +785,14 @@ func (d *sketchDecoder) decodeNode(depth int) (*statsTrie, error) {
 		return nil, err
 	}
 	for i := 0; i < ne; i++ {
+		if d.skipEmptyNode() {
+			continue
+		}
 		c, err := d.decodeNode(depth + 1)
 		if err != nil {
 			return nil, err
 		}
-		t.attachElem(c)
+		t.attachElem(i, c)
 	}
 	return t, nil
 }
@@ -1020,7 +1112,7 @@ func (d *sketchDecoder) childOrderErr(id uint64) error {
 // It mirrors decodeNode's validations byte for byte; only the destination
 // differs — counters accumulate in place (setKeyCount and setLenCount
 // add, combine-style) and child nodes materialize only where the live
-// trie has none.
+// trie has none and the encoded node is not empty.
 //
 //jx:hotpath
 func (d *sketchDecoder) mergeNode(t *statsTrie, depth int) error {
@@ -1133,6 +1225,9 @@ func (d *sketchDecoder) mergeNode(t *statsTrie, depth int) error {
 			return d.childOrderErr(id)
 		}
 		prevKey = int(id)
+		if d.skipEmptyNode() {
+			continue
+		}
 		if err := d.mergeNode(t.child(d.keys[id]), depth+1); err != nil {
 			return err
 		}
@@ -1142,6 +1237,9 @@ func (d *sketchDecoder) mergeNode(t *statsTrie, depth int) error {
 		return err
 	}
 	for i := 0; i < ne; i++ {
+		if d.skipEmptyNode() {
+			continue
+		}
 		if err := d.mergeNode(t.elem(i), depth+1); err != nil {
 			return err
 		}

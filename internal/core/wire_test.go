@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"reflect"
 	"testing"
@@ -69,6 +70,95 @@ func TestPathSketchWireRoundTrip(t *testing.T) {
 		}
 		if !bytes.Equal(re, mustMarshalSketch(t, s)) {
 			t.Errorf("%s: re-marshal of decoded sketch diverges", g.Name)
+		}
+	}
+}
+
+// TestSketchNodesOnlyForObjectsAndArrays pins the trie's shape: a node
+// per object or array path and none for a primitive, whose occurrences
+// its parent already counts. A 1,000-record churn window holds the root,
+// the service tuple's object and array paths (service, flags, limits) and
+// three per session key (the session object, geo and tags). On every
+// generator the node count survives the wire, both decoded and merged
+// into an empty accumulator.
+func TestSketchNodesOnlyForObjectsAndArrays(t *testing.T) {
+	window := NewPathSketch()
+	for i := 0; i < 1000; i++ {
+		window.Add(churnRec(t, i))
+	}
+	if got, want := window.Nodes(), 1+3+3*1000; got != want {
+		t.Errorf("churn window: %d trie nodes, want %d", got, want)
+	}
+	for _, g := range append(dataset.Registry(), dataset.WideRegistry()...) {
+		s := NewPathSketch()
+		acc := NewAccumulator(Default())
+		for _, r := range g.Generate(200, 1) {
+			s.Add(r.Type)
+			acc.Add(r.Type)
+		}
+		decoded, err := UnmarshalPathSketch(mustMarshalSketch(t, s))
+		if err != nil {
+			t.Fatalf("%s: %v", g.Name, err)
+		}
+		if decoded.Nodes() != s.Nodes() {
+			t.Errorf("%s: decoded sketch has %d nodes, want %d", g.Name, decoded.Nodes(), s.Nodes())
+		}
+		data, err := acc.Marshal()
+		if err != nil {
+			t.Fatalf("%s: %v", g.Name, err)
+		}
+		merged := NewAccumulator(Default())
+		if err := merged.MergeSketch(data); err != nil {
+			t.Fatalf("%s: %v", g.Name, err)
+		}
+		if merged.SketchNodes() != acc.SketchNodes() {
+			t.Errorf("%s: merged sketch has %d nodes, want %d", g.Name, merged.SketchNodes(), acc.SketchNodes())
+		}
+	}
+}
+
+// TestSketchDecodesEmptyPrimitiveNodes pins the compatibility of files
+// written when primitive values still had trie nodes: each such node is an
+// empty node on the wire. Both decoders must drop them, leaving the trie
+// (and the bytes it re-marshals to) that folding the records gives today.
+func TestSketchDecodesEmptyPrimitiveNodes(t *testing.T) {
+	// Accumulator.Marshal of {"a":1,"b":[1,{"c":true},"x"]} and
+	// {"a":"s","b":[null]}, written with a node for each of a, b[0],
+	// b[1].c and b[2].
+	old, err := hex.DecodeString("4a58534b01034b0703016101620163541e05050101630204030305040502016103016206040101050201610401620842050207010901533e0202010300000000000000020202000200000000000100020201010301020003000000000101040000000000000001010200010200000000000000000000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc := NewAccumulator(Default())
+	for _, doc := range []string{`{"a":1,"b":[1,{"c":true},"x"]}`, `{"a":"s","b":[null]}`} {
+		acc.Add(ty(t, doc))
+	}
+	want, err := acc.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := UnmarshalAccumulator(old, Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged := NewAccumulator(Default())
+	if err := merged.MergeSketch(old); err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string]*Accumulator{"decoded": decoded, "merged": merged} {
+		// The root, b and b[1].
+		if n := got.SketchNodes(); n != 3 {
+			t.Errorf("%s: %d trie nodes, want 3", name, n)
+		}
+		if !reflect.DeepEqual(got.Stats(), acc.Stats()) {
+			t.Errorf("%s: stats diverge from a fresh fold", name)
+		}
+		data, err := got.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, want) {
+			t.Errorf("%s: re-marshal diverges from a fresh fold", name)
 		}
 	}
 }

@@ -24,35 +24,6 @@ func TestDict(t *testing.T) {
 	if d.Len() != 2 {
 		t.Errorf("Len = %d", d.Len())
 	}
-	if id, ok := d.Lookup("alpha"); !ok || id != a {
-		t.Error("Lookup broken")
-	}
-	if _, ok := d.Lookup("gamma"); ok {
-		t.Error("Lookup of unknown name should fail")
-	}
-}
-
-func TestDictSnapshot(t *testing.T) {
-	d := NewDict()
-	a := d.ID("alpha")
-	snap := d.Snapshot()
-	b := d.ID("beta") // mutate after the snapshot
-
-	if snap.Len() != 1 {
-		t.Errorf("snapshot Len = %d, want 1", snap.Len())
-	}
-	if id, ok := snap.Lookup("alpha"); !ok || id != a {
-		t.Error("snapshot Lookup broken")
-	}
-	if _, ok := snap.Lookup("beta"); ok {
-		t.Error("snapshot must not see names interned after it was taken")
-	}
-	if snap.Name(a) != "alpha" {
-		t.Error("snapshot Name broken")
-	}
-	if d.Len() != 2 || d.Name(b) != "beta" {
-		t.Error("snapshot must not disturb the live dict")
-	}
 }
 
 func TestNewKeySetDedups(t *testing.T) {

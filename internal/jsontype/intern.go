@@ -72,7 +72,7 @@ const (
 )
 
 //jx:hotpath
-func fnvString(h uint64, s string) uint64 {
+func fnv1a[S string | []byte](h uint64, s S) uint64 {
 	for i := 0; i < len(s); i++ {
 		h = (h ^ uint64(s[i])) * fnvPrime
 	}
@@ -82,7 +82,7 @@ func fnvString(h uint64, s string) uint64 {
 // keyHash is the hash an object key contributes to its field's hash.
 //
 //jx:hotpath
-func keyHash(key string) uint64 { return fnvString(fnvOffset, key) }
+func keyHash(key string) uint64 { return fnv1a(fnvOffset, key) }
 
 // Seeds of the array and field hashes.
 const (

@@ -34,6 +34,7 @@ type ReservoirBag struct {
 	capacity int
 	seed     int64
 
+	canon   []byte           // scratch for reservoirLnU's canonical form
 	entries []reservoirEntry // slot-addressed; freed slots recycled
 	free    []int            // recycled slots
 	index   map[uint64]int   // intern id -> slot
@@ -70,13 +71,15 @@ func NewReservoirBag(capacity int, seed int64) *ReservoirBag {
 // reservoirLnU derives the deterministic uniform behind a type's priority:
 // an FNV-1a hash of the canonical structure, finalized with a
 // splitmix64-style mix of the seed so distinct seeds draw independent
-// reservoirs. The canonical string — not the intern id or the structural
+// reservoirs. The canonical form — not the intern id or the structural
 // hash — is what makes the draw stable across processes and runs: intern
 // ids depend on interning order, which the decode worker pool does not
-// pin.
-func reservoirLnU(t *Type, seed int64) float64 {
-	h := fnvString(fnvOffset, t.Canon())
-	h ^= uint64(seed)
+// pin. The form is written into the reservoir's scratch buffer rather
+// than through Canon, so an admitted type gets no cached string.
+func (r *ReservoirBag) reservoirLnU(t *Type) float64 {
+	r.canon = t.appendCanon(r.canon[:0])
+	h := fnv1a(fnvOffset, r.canon)
+	h ^= uint64(r.seed)
 	// splitmix64 finalizer.
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9
@@ -128,7 +131,7 @@ func (r *ReservoirBag) AddN(t *Type, n int) {
 //
 //jx:coldpath runs once per distinct type reaching the reservoir, not per record
 func (r *ReservoirBag) admit(t *Type, n int) {
-	lnU := reservoirLnU(t, r.seed)
+	lnU := r.reservoirLnU(t)
 	if len(r.heap) >= r.capacity {
 		weak := r.heap[0]
 		// Ties (a 64-bit collision of the underlying uniforms) keep the

@@ -99,6 +99,27 @@ func TestReservoirDeterministicReplay(t *testing.T) {
 	}
 }
 
+// TestReservoirDrawPinned pins the reservoir's draw across builds: DESIGN
+// §9 promises that replaying a stream reproduces the same reservoir, so
+// the uniform behind each priority (FNV-1a over the canonical form, the
+// seed XOR and the splitmix finalizer) must not change. The expected
+// survivors were recorded from an earlier build that hashed Canon().
+func TestReservoirDrawPinned(t *testing.T) {
+	res := NewReservoirBag(16, 1)
+	for i := 0; i < 5000; i++ {
+		res.Add(churnType(t, i))
+	}
+	want := []string{
+		"{k284:r}×1", "{k835:r}×1", "{k880:r}×1", "{k1013:r}×1",
+		"{k1024:r}×1", "{k1097:r}×1", "{k1118:r}×1", "{k1279:r}×1",
+		"{k1991:r}×1", "{k2405:r}×1", "{k2784:r}×1", "{k3333:r}×1",
+		"{k3377:r}×1", "{k4464:r}×1", "{k4922:r}×1", "{k4983:r}×1",
+	}
+	if got := entriesOf(res); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reservoir draw changed:\ngot  %v\nwant %v", got, want)
+	}
+}
+
 func TestReservoirDecayAgesOutDeadTypes(t *testing.T) {
 	res := NewReservoirBag(8, 5)
 	dead := churnType(t, 1)

@@ -213,9 +213,7 @@ func (t *Type) Canon() string {
 	if p := t.canon.Load(); p != nil {
 		return *p
 	}
-	var b strings.Builder
-	t.writeCanon(&b)
-	s := b.String()
+	s := string(t.appendCanon(nil))
 	t.canon.Store(&s)
 	return s
 }
@@ -224,59 +222,62 @@ func (t *Type) Canon() string {
 // identity.
 func Equal(a, b *Type) bool { return a == b }
 
-func (t *Type) writeCanon(b *strings.Builder) {
+// appendCanon appends the canonical form of t to b and returns the
+// extended slice. It reads the cached form of any subtree that has one
+// but caches nothing, so a caller that only hashes the form leaves no
+// string behind.
+func (t *Type) appendCanon(b []byte) []byte {
 	if p := t.canon.Load(); p != nil {
-		b.WriteString(*p)
-		return
+		return append(b, *p...)
 	}
 	switch t.kind {
 	case KindNull:
-		b.WriteByte('n')
+		b = append(b, 'n')
 	case KindBool:
-		b.WriteByte('b')
+		b = append(b, 'b')
 	case KindNumber:
-		b.WriteByte('r')
+		b = append(b, 'r')
 	case KindString:
-		b.WriteByte('s')
+		b = append(b, 's')
 	case KindArray:
-		b.WriteByte('[')
+		b = append(b, '[')
 		for i, e := range t.elems {
 			if i > 0 {
-				b.WriteByte(',')
+				b = append(b, ',')
 			}
-			e.writeCanon(b)
+			b = e.appendCanon(b)
 		}
-		b.WriteByte(']')
+		b = append(b, ']')
 	case KindObject:
-		b.WriteByte('{')
+		b = append(b, '{')
 		for i, f := range t.fields {
 			if i > 0 {
-				b.WriteByte(',')
+				b = append(b, ',')
 			}
-			writeCanonKey(b, f.Key)
-			b.WriteByte(':')
-			f.Type.writeCanon(b)
+			b = appendCanonKey(b, f.Key)
+			b = append(b, ':')
+			b = f.Type.appendCanon(b)
 		}
-		b.WriteByte('}')
+		b = append(b, '}')
 	}
+	return b
 }
 
-// writeCanonKey escapes the characters that are structural in canonical
+// appendCanonKey escapes the characters that are structural in canonical
 // forms so that distinct key sets can never collide.
-func writeCanonKey(b *strings.Builder, key string) {
+func appendCanonKey(b []byte, key string) []byte {
 	if !strings.ContainsAny(key, `\:,{}[]`) {
-		b.WriteString(key)
-		return
+		return append(b, key...)
 	}
 	for i := 0; i < len(key); i++ {
 		switch c := key[i]; c {
 		case '\\', ':', ',', '{', '}', '[', ']':
-			b.WriteByte('\\')
-			b.WriteByte(c)
+			b = append(b, '\\', c)
 		default:
-			b.WriteByte(c)
+			b = append(b, c)
 		}
 	}
+	return b
 }
 
 // String renders the type in the paper's notation, e.g.
