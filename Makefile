@@ -53,6 +53,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodeAll -fuzztime 30s ./internal/jsontype/
 	$(GO) test -fuzz FuzzScan -fuzztime 30s ./internal/jsontype/
 	$(GO) test -fuzz FuzzKeySet -fuzztime 30s ./internal/entity/
+	$(GO) test -fuzz FuzzWeightedVsReplicated -fuzztime 30s ./internal/entity/
 	$(GO) test -fuzz FuzzUnmarshal -fuzztime 30s ./internal/schema/
 	$(GO) test -fuzz FuzzSketchDecode -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz FuzzSketchMerge -fuzztime 30s ./internal/core/

@@ -216,72 +216,47 @@ func (d *localDecider) objectDecision(_ string, objects *jsontype.Bag) entropy.D
 }
 
 func (d *localDecider) partitionObjects(_ string, objects *jsontype.Bag) []*jsontype.Bag {
-	return partitionBag(objects, d.featureKeySet(objects), d.cfg)
+	return d.partition(objects)
 }
 
 func (d *localDecider) partitionArrays(_ string, arrays *jsontype.Bag) []*jsontype.Bag {
-	return partitionBag(arrays, d.featureKeySet(arrays), d.cfg)
+	return d.partition(arrays)
 }
 
-// featureKeySet builds the §6.4 feature extractor for a partition point:
-// record key sets are the deep path sets of each type, truncated at nested
-// collection boundaries. The recursive strategy determines those
-// boundaries with an extra detection walk over the bag — the "full second
-// pass" overhead the paper attributes to JXPLAIN.
-func (d *localDecider) featureKeySet(bag *jsontype.Bag) func(*jsontype.Type) []string {
-	decide := decisionLookup(subtreeDecisions(bag, d.cfg))
-	return func(t *jsontype.Type) []string { return featurePaths(t, decide, true) }
+// partition splits a bag by the §6.4 deep path sets of its types,
+// truncated at nested collection boundaries. The recursive strategy
+// determines those boundaries with an extra detection walk over the bag —
+// the "full second pass" overhead the paper attributes to JXPLAIN — so
+// its feature trie is rooted at "" over that walk's decisions.
+func (d *localDecider) partition(bag *jsontype.Bag) []*jsontype.Bag {
+	tr := &pathTrie{decisions: subtreeDecisions(bag, d.cfg)}
+	return partitionBag(bag, tr, tr.root(""), d.cfg)
 }
 
-// partitionBag splits a bag of tuple-like types into entity bags according
-// to the configured strategy. Partitioning operates on the distinct key
-// sets appearing in the bag (Section 6); all types sharing a key set land
-// in the same entity.
-func partitionBag(bag *jsontype.Bag, keySetOf func(*jsontype.Type) []string, cfg Config) []*jsontype.Bag {
-	switch cfg.Partition {
-	case SingleEntity:
+// partitionBag splits a bag of tuple-like types at trie node n into entity
+// bags according to the configured strategy. Partitioning operates on the
+// distinct feature sets appearing in the bag (Section 6); all types
+// sharing a set land in the same entity.
+func partitionBag(bag *jsontype.Bag, tr *pathTrie, n *pathNode, cfg Config) []*jsontype.Bag {
+	if cfg.Partition == SingleEntity {
 		return []*jsontype.Bag{bag}
-	case PerKeySet:
-		return partitionPerKeySet(bag, keySetOf)
 	}
-
-	w, dict, typesBySet := collectKeySets(bag, keySetOf)
-	assignment := assignClusters(w, dict, cfg)
-	return groupByAssignment(bag, typesBySet, assignment)
+	fs := tr.featureSets(n, bag)
+	return groupByAssignment(bag, fs.typesBySet, assignClusters(fs.Weighted, len(fs.features), cfg))
 }
 
-// collectKeySets builds the weighted distinct key sets of a bag — each
-// set's weight is its record multiplicity — plus, for each set, the
-// indices of the distinct types carrying it.
-func collectKeySets(bag *jsontype.Bag, keySetOf func(*jsontype.Type) []string) (entity.Weighted, *entity.Dict, [][]int) {
-	dict := entity.NewDict()
-	var w entity.Weighted
-	setIndex := map[string]int{}
-	var typesBySet [][]int
-	for ti, t := range bag.Types() {
-		ks := entity.KeySetOf(dict, keySetOf(t)...)
-		c := ks.Canon()
-		si, ok := setIndex[c]
-		if !ok {
-			si = len(w.Sets)
-			setIndex[c] = si
-			w.Sets = append(w.Sets, ks)
-			w.Weights = append(w.Weights, 0)
-			typesBySet = append(typesBySet, nil)
-		}
-		w.Weights[si] += bag.Count(ti)
-		typesBySet[si] = append(typesBySet[si], ti)
-	}
-	return w, dict, typesBySet
-}
-
-// assignClusters maps each distinct key set to a cluster id under the
-// configured strategy. Weights ride along for per-entity statistics; no
-// strategy's clustering decisions depend on them (entity discovery is
+// assignClusters maps each distinct key set, over ids 0..features-1, to a
+// cluster id under the configured strategy; PerKeySet gives each set its
+// own, in first-seen order. Weights ride along for per-entity statistics;
+// no strategy's clustering decisions depend on them (entity discovery is
 // multiplicity-blind, §6.4).
-func assignClusters(w entity.Weighted, dict *entity.Dict, cfg Config) []int {
+func assignClusters(w entity.Weighted, features int, cfg Config) []int {
 	assignment := make([]int, len(w.Sets))
 	switch cfg.Partition {
+	case PerKeySet:
+		for i := range assignment {
+			assignment[i] = i
+		}
 	case BimaxNaive, BimaxMerge:
 		clusters := entity.DiscoverEntities(w, cfg.Partition == BimaxMerge)
 		for ci, c := range clusters {
@@ -294,7 +269,7 @@ func assignClusters(w entity.Weighted, dict *entity.Dict, cfg Config) []int {
 		if k <= 0 {
 			k = 1
 		}
-		assignment = entity.KMeans(w.Sets, dict.Len(), k, cfg.Seed, 100)
+		assignment = entity.KMeans(w.Sets, features, k, cfg.Seed, 100)
 	}
 	return assignment
 }
@@ -324,21 +299,4 @@ func groupByAssignment(bag *jsontype.Bag, typesBySet [][]int, assignment []int) 
 		}
 	}
 	return out
-}
-
-func partitionPerKeySet(bag *jsontype.Bag, keySetOf func(*jsontype.Type) []string) []*jsontype.Bag {
-	dict := entity.NewDict()
-	index := map[string]*jsontype.Bag{}
-	var order []*jsontype.Bag
-	for ti, t := range bag.Types() {
-		c := entity.KeySetOf(dict, keySetOf(t)...).Canon()
-		part := index[c]
-		if part == nil {
-			part = &jsontype.Bag{}
-			index[c] = part
-			order = append(order, part)
-		}
-		part.AddN(t, bag.Count(ti))
-	}
-	return order
 }

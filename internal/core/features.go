@@ -24,7 +24,10 @@ type subtreeDecision func(rel string, kind jsontype.Kind) entropy.Decision
 // (that is why it is being partitioned), so extraction starts at its
 // children. When pruneNested is false, paths inside nested collections are
 // retained verbatim (concrete keys and indices), reproducing the
-// unoptimized preprocessing of Figure 5.
+// unoptimized preprocessing of Figure 5. Discovery itself walks the path
+// trie (pathtrie.go), which numbers the same paths without building their
+// strings; this string walk is Figure 5's extractor and the trie walk's
+// test reference.
 func featurePaths(t *jsontype.Type, decide subtreeDecision, pruneNested bool) []string {
 	var out []string
 	appendChildFeatures(t, "", decide, pruneNested, &out)

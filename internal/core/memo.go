@@ -1,9 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
-	"hash/fnv"
-
 	"jxplain/internal/jsontype"
 	"jxplain/internal/schema"
 )
@@ -90,36 +87,21 @@ func bagContentHash(bag *jsontype.Bag) uint64 {
 // each entry is hashed independently and the results summed.
 func (d *pipelineDecider) epochHash() uint64 {
 	var h uint64
-	var buf [4]byte
 	for path, dec := range d.decisions {
-		e := fnv.New64a()
-		e.Write([]byte(path))
-		buf[0] = boolByte(dec.hasArr)
-		buf[1] = byte(dec.arr)
-		buf[2] = boolByte(dec.hasObj)
-		buf[3] = byte(dec.obj)
-		e.Write(buf[:])
-		h += mix64(e.Sum64())
+		e := fnvString(fnvOffset64, path)
+		for _, b := range [4]byte{boolByte(dec.hasArr), byte(dec.arr), boolByte(dec.hasObj), byte(dec.obj)} {
+			e = (e ^ uint64(b)) * fnvPrime64
+		}
+		h += mix64(e)
 	}
-	for _, plan := range d.plans {
-		h += plan.hash
+	for _, n := range d.nodes {
+		for _, plan := range [2]*partitionPlan{n.objPlan, n.arrPlan} {
+			if plan != nil {
+				h += plan.hash
+			}
+		}
 	}
 	return h
-}
-
-// planEntryHash hashes one distinct key set's pass-② assignment: the plan
-// key, the set's sorted key names and its entity. A plan's hash is the sum
-// over its key sets.
-func planEntryHash(planKey string, names []string, cluster int) uint64 {
-	e := fnv.New64a()
-	e.Write([]byte(planKey))
-	for _, name := range names {
-		e.Write([]byte{0})
-		e.Write([]byte(name))
-	}
-	var buf [8]byte
-	e.Write(binary.LittleEndian.AppendUint64(buf[:0], uint64(cluster)))
-	return mix64(e.Sum64())
 }
 
 func boolByte(b bool) byte {

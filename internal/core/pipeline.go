@@ -203,12 +203,14 @@ func (a *Accumulator) Finish() schema.Schema {
 // synthesize runs passes ② and ③ over the full bag, consulting the
 // precomputed pass-① statistics and the accumulator's memo.
 func synthesize(bag *jsontype.Bag, stats []PathStat, cfg Config, memo *mergeMemo) schema.Schema {
+	decisions := decisionMap(stats)
 	dec := &pipelineDecider{
 		cfg:       cfg,
-		decisions: decisionMap(stats),
-		plans:     map[string]*partitionPlan{},
+		decisions: decisions,
+		trie:      &pathTrie{decisions: decisions},
+		nodes:     map[string]*pathNode{},
 	}
-	dec.collectPlans(RootPath, bag) // pass ②
+	dec.collectPlans(dec.trie.root(RootPath), bag) // pass ②
 	// The memo is only sound while the global decisions and plans that
 	// shaped its entries still hold; a changed epoch drops the cache.
 	memo.validate(dec.epochHash())
@@ -258,13 +260,13 @@ func decisionMap(stats []PathStat) map[string]pathDecision {
 	return out
 }
 
-// partitionPlan is the pass-② output for one tuple path: the entity each
-// distinct type of the path's bag belongs to, keyed by intern id. Pass ③
-// only ever partitions sub-bags of that bag (an entity's children are
-// sub-bags of all tuples' children at the same path), so every type it
-// meets has an entry. hash digests the key-set → entity assignment for the
-// merge memo's epoch; it is built from key names, not dictionary ids or
-// record counts, so it holds while the assignment does.
+// partitionPlan is the pass-② output for one tuple path and kind: the
+// entity each distinct type of the path's bag belongs to, keyed by intern
+// id. Pass ③ only ever partitions sub-bags of that bag (an entity's
+// children are sub-bags of all tuples' children at the same path), so
+// every type it meets has an entry. hash digests the key-set → entity
+// assignment for the merge memo's epoch; it sums path hashes, not
+// dictionary ids or record counts, so it holds while the assignment does.
 type partitionPlan struct {
 	byType map[uint64]int
 	hash   uint64
@@ -273,7 +275,8 @@ type partitionPlan struct {
 type pipelineDecider struct {
 	cfg       Config
 	decisions map[string]pathDecision
-	plans     map[string]*partitionPlan
+	trie      *pathTrie
+	nodes     map[string]*pathNode // the paths pass ② walked, and pass ③'s fallbacks
 }
 
 func (d *pipelineDecider) arrayDecision(path string, arrays *jsontype.Bag) entropy.Decision {
@@ -291,55 +294,45 @@ func (d *pipelineDecider) objectDecision(path string, objects *jsontype.Bag) ent
 	return (&localDecider{cfg: d.cfg}).objectDecision(path, objects)
 }
 
+// node returns the trie node of path: the one pass ② walked, or a new
+// root. Pass ② roots a collection's element path; pass ③ roots a path
+// pass ② did not reach, possible only when pass ① saw a sample or a
+// window of the bag.
+func (d *pipelineDecider) node(path string) *pathNode {
+	n := d.nodes[path]
+	if n == nil {
+		n = d.trie.root(path)
+		d.nodes[path] = n
+	}
+	return n
+}
+
 func (d *pipelineDecider) partitionObjects(path string, objects *jsontype.Bag) []*jsontype.Bag {
-	return d.partitionWithPlan("O:"+path, objects, d.featureKeySet(path))
+	n := d.node(path)
+	return d.partitionWithPlan(n, n.objPlan, objects)
 }
 
 func (d *pipelineDecider) partitionArrays(path string, arrays *jsontype.Bag) []*jsontype.Bag {
-	return d.partitionWithPlan("A:"+path, arrays, d.featureKeySet(path))
+	n := d.node(path)
+	return d.partitionWithPlan(n, n.arrPlan, arrays)
 }
 
-// featureKeySet builds the §6.4 deep-path feature extractor for a
-// partition point, answering nested tuple/collection questions from the
-// pass-① decision map (paths below the partition point are absolute paths
-// prefixed by it).
-func (d *pipelineDecider) featureKeySet(base string) func(*jsontype.Type) []string {
-	decide := func(rel string, kind jsontype.Kind) entropy.Decision {
-		dec, ok := d.decisions[base+rel]
-		if !ok {
-			return entropy.Tuple
-		}
-		if kind == jsontype.KindArray {
-			if dec.hasArr {
-				return dec.arr
-			}
-			return entropy.Tuple
-		}
-		if dec.hasObj {
-			return dec.obj
-		}
-		return entropy.Tuple
-	}
-	return func(t *jsontype.Type) []string { return featurePaths(t, decide, true) }
-}
-
-func (d *pipelineDecider) partitionWithPlan(planKey string, bag *jsontype.Bag, keySetOf func(*jsontype.Type) []string) []*jsontype.Bag {
-	plan := d.plans[planKey]
+func (d *pipelineDecider) partitionWithPlan(n *pathNode, plan *partitionPlan, bag *jsontype.Bag) []*jsontype.Bag {
 	if plan == nil {
 		// SingleEntity and PerKeySet build no plans; under the clustering
 		// strategies a path pass ② did not plan is unreached in normal
 		// operation.
-		return partitionBag(bag, keySetOf, d.cfg)
+		return partitionBag(bag, d.trie, n, d.cfg)
 	}
 	// Each type is its own set for groupByAssignment; the one-element sets
 	// share one backing array.
-	n := bag.Distinct()
-	assignment, ids, typesBySet := make([]int, n), make([]int, n), make([][]int, n)
+	count := bag.Distinct()
+	assignment, ids, typesBySet := make([]int, count), make([]int, count), make([][]int, count)
 	for ti, t := range bag.Types() {
 		cluster, ok := plan.byType[t.ID()]
 		if !ok {
 			// Unreached: pass ③'s bag at a path is a sub-bag of pass ②'s.
-			return partitionBag(bag, keySetOf, d.cfg)
+			return partitionBag(bag, d.trie, n, d.cfg)
 		}
 		assignment[ti], ids[ti] = cluster, ti
 		typesBySet[ti] = ids[ti : ti+1]
@@ -349,48 +342,55 @@ func (d *pipelineDecider) partitionWithPlan(planKey string, bag *jsontype.Bag, k
 
 // collectPlans is pass ②: walk the data along the pass-① decisions and,
 // at every tuple path, precompute the key-set → entity assignment.
-func (d *pipelineDecider) collectPlans(path string, bag *jsontype.Bag) {
+func (d *pipelineDecider) collectPlans(n *pathNode, bag *jsontype.Bag) {
+	d.nodes[n.path] = n
 	_, arrays, objects := bag.SplitKinds()
 	if arrays.Len() > 0 {
-		if d.arrayDecision(path, arrays) == entropy.Collection {
+		if d.arrayDecision(n.path, arrays) == entropy.Collection {
 			if elems := arrays.Elements(); elems.Len() > 0 {
-				d.collectPlans(arrayElemPath(path), elems)
+				d.collectPlans(d.node(arrayElemPath(n.path)), elems)
 			}
 		} else {
-			d.buildPlan("A:"+path, arrays, d.featureKeySet(path))
+			n.arrPlan = d.buildPlan(n, jsontype.KindArray, arrays)
 			groups, _ := arrays.GroupByIndex()
 			for i, g := range groups {
-				d.collectPlans(arrayIndexPath(path, i), g)
+				d.collectPlans(d.trie.position(n, i), g)
 			}
 		}
 	}
 	if objects.Len() > 0 {
-		if d.objectDecision(path, objects) == entropy.Collection {
+		if d.objectDecision(n.path, objects) == entropy.Collection {
 			if values := objects.FieldValues(); values.Len() > 0 {
-				d.collectPlans(objectValuePath(path), values)
+				d.collectPlans(d.node(objectValuePath(n.path)), values)
 			}
 		} else {
-			d.buildPlan("O:"+path, objects, d.featureKeySet(path))
+			n.objPlan = d.buildPlan(n, jsontype.KindObject, objects)
 			keys, groups, _ := objects.GroupByKey()
 			for i, key := range keys {
-				d.collectPlans(childKeyPath(path, key), groups[i])
+				d.collectPlans(d.trie.key(n, key), groups[i])
 			}
 		}
 	}
 }
 
-func (d *pipelineDecider) buildPlan(planKey string, bag *jsontype.Bag, keySetOf func(*jsontype.Type) []string) {
+// buildPlan assigns each distinct feature set of bag, the kind-k values
+// at n, to an entity. The plan hash sums one entry per set, mixing the
+// sum of its paths' hashes with its entity.
+func (d *pipelineDecider) buildPlan(n *pathNode, k jsontype.Kind, bag *jsontype.Bag) *partitionPlan {
 	if d.cfg.Partition == SingleEntity || d.cfg.Partition == PerKeySet {
-		return // no plan needed
+		return nil // no plan needed
 	}
-	w, dict, typesBySet := collectKeySets(bag, keySetOf)
-	assignment := assignClusters(w, dict, d.cfg)
+	fs := d.trie.featureSets(n, bag)
+	assignment := assignClusters(fs.Weighted, len(fs.features), d.cfg)
 	plan := &partitionPlan{byType: make(map[uint64]int, bag.Distinct())}
+	seed := mix64(n.hash ^ uint64(k))
 	for si, cluster := range assignment {
-		for _, ti := range typesBySet[si] {
+		for _, ti := range fs.typesBySet[si] {
 			plan.byType[bag.Types()[ti].ID()] = cluster
 		}
-		plan.hash += planEntryHash(planKey, w.Sets[si].Names(dict), cluster)
+		var paths uint64
+		fs.Sets[si].Each(func(id int) { paths += mix64(fs.features[id].hash) })
+		plan.hash += mix64(seed ^ mix64(paths+uint64(cluster)))
 	}
-	d.plans[planKey] = plan
+	return plan
 }

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"jxplain/internal/dataset"
 	"jxplain/internal/entropy"
 	"jxplain/internal/jsontype"
 	"jxplain/internal/schema"
@@ -116,14 +118,21 @@ func TestCollectPathStatsSorted(t *testing.T) {
 	}
 }
 
-func TestPathEscapingNoAliasing(t *testing.T) {
-	// {"a.b": 𝕊-collection candidates} and {"a": {"b": …}} must not share
-	// decision-map entries.
+// dottedKeyBag mixes a collection under the dotted key "a.b" with a tuple
+// at the nested path a → b.
+func dottedKeyBag(t *testing.T) *jsontype.Bag {
 	bag := &jsontype.Bag{}
 	for i := 0; i < 30; i++ {
 		bag.Add(ty(t, fmt.Sprintf(`{"a.b":{"k%d":1,"k%d":2}}`, i%17, (i+5)%17)))
 		bag.Add(ty(t, `{"a":{"b":{"fixed":1,"also":2}}}`))
 	}
+	return bag
+}
+
+func TestPathEscapingNoAliasing(t *testing.T) {
+	// {"a.b": 𝕊-collection candidates} and {"a": {"b": …}} must not share
+	// decision-map entries.
+	bag := dottedKeyBag(t)
 	rec := Discover(bag, Default())
 	pipe := Pipeline(bag, Default())
 	if !schema.Equal(schema.Simplify(rec), schema.Simplify(pipe)) {
@@ -155,5 +164,38 @@ func TestPipelineMixedKindsAtOnePath(t *testing.T) {
 	}
 	if !rec.Accepts(ty(t, `{"v":{"a":9,"b":9}}`)) || !rec.Accepts(ty(t, `{"v":[9,9,9]}`)) {
 		t.Error("both kinds should be admitted")
+	}
+}
+
+// TestDuplicatedRecordsKeepSchema checks that a schema depends on which
+// records occur, not on how often: repeating every record 2× or 3×, as
+// whole-stream copies or as k copies of each record in a row, leaves each
+// algorithm's native schema byte-identical.
+func TestDuplicatedRecordsKeepSchema(t *testing.T) {
+	algorithms := []struct {
+		name string
+		run  func([]*jsontype.Type, Config) schema.Schema
+	}{{"Pipeline", PipelineTypes}, {"Discover", DiscoverTypes}}
+	for _, g := range append(dataset.Registry(), dataset.WideRegistry()...) {
+		types := dataset.Types(g.Generate(g.DefaultN/4, 1))
+		for _, a := range algorithms {
+			want := marshalSchema(t, a.run(types, Default()))
+			for k := 2; k <= 3; k++ {
+				var copies, inARow []*jsontype.Type
+				for c := 0; c < k; c++ {
+					copies = append(copies, types...)
+				}
+				for _, ty := range types {
+					for c := 0; c < k; c++ {
+						inARow = append(inARow, ty)
+					}
+				}
+				for name, dup := range map[string][]*jsontype.Type{"copies": copies, "in a row": inARow} {
+					if got := marshalSchema(t, a.run(dup, Default())); !bytes.Equal(got, want) {
+						t.Errorf("%s: %s over %d× %s differs from one copy\ngot:  %s\nwant: %s", g.Name, a.name, k, name, got, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -12,10 +12,7 @@
 // popcount instead of O(k) sorted-slice walks.
 package entity
 
-import (
-	"math/bits"
-	"sort"
-)
+import "math/bits"
 
 // KeySet is a set of interned key ids stored as a bitset: word w bit b
 // holds id w*64+b. The representation is normalized — no trailing zero
@@ -104,14 +101,6 @@ func (s KeySet) IDs() []int {
 // Clone returns an independent copy of the set.
 func (s KeySet) Clone() KeySet {
 	return append(KeySet(nil), s...)
-}
-
-// Names maps the set back to sorted key names via d.
-func (s KeySet) Names(d *Dict) []string {
-	out := make([]string, 0, s.Len())
-	s.Each(func(id int) { out = append(out, d.Name(id)) })
-	sort.Strings(out)
-	return out
 }
 
 // Contains reports whether id is in the set.

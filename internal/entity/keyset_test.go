@@ -45,9 +45,10 @@ func TestKeySetOfAndNames(t *testing.T) {
 	if s.Len() != 3 {
 		t.Fatalf("got %v", s.IDs())
 	}
-	names := s.Names(d)
-	if names[0] != "a" || names[1] != "m" || names[2] != "z" {
-		t.Errorf("Names = %v", names)
+	var names []string
+	s.Each(func(id int) { names = append(names, d.Name(id)) })
+	if names[0] != "z" || names[1] != "a" || names[2] != "m" {
+		t.Errorf("names in id order = %v, want first-use order", names)
 	}
 }
 

@@ -119,6 +119,25 @@ func TestOversizedRecordNamesItsLine(t *testing.T) {
 	}
 }
 
+// TestNestingBoundNamesItsLine feeds JSONL records nested 10,000,
+// 10,001 and 10⁶ levels deep. The first is a record like any other; the
+// others fail with the scanner's depth error on their own line instead of
+// overflowing the stack.
+func TestNestingBoundNamesItsLine(t *testing.T) {
+	deep := func(depth int) string { return strings.Repeat("[", depth) + strings.Repeat("]", depth) }
+	n, err := Each(context.Background(), strings.NewReader("{\"a\":1}\n"+deep(10000)+"\n"), Options{JSONL: true}, func(Chunk) error { return nil })
+	if err != nil || n != 2 {
+		t.Fatalf("depth 10000: %d records, %v", n, err)
+	}
+	for _, depth := range []int{10001, 1000000} {
+		input := "{\"a\":1}\n{\"a\":2}\n" + deep(depth) + "\n{\"a\":3}\n"
+		_, err := Each(context.Background(), strings.NewReader(input), Options{JSONL: true}, func(Chunk) error { return nil })
+		if want := "line 3: jsontype: nesting exceeds 10000 levels at offset 10000"; err == nil || err.Error() != want {
+			t.Errorf("depth %d: err = %v, want %q", depth, err, want)
+		}
+	}
+}
+
 func TestEachCallbackError(t *testing.T) {
 	boom := errors.New("boom")
 	calls := 0

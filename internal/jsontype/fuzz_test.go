@@ -3,6 +3,7 @@ package jsontype
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 	"unicode/utf8"
 )
@@ -70,6 +71,10 @@ func FuzzScan(f *testing.F) {
 		`{"abcdefgh\u00e9":1,"abcdefghé":2}`, `{"a\u0062":"x","ab":1}`,
 		`["abcdefgé","abcdefghijklmno€"]`, `{"abcdefghijklmnop":{"abcdefghijklmnopq":[]}}`,
 		`"abcdefgh`, `{"abcdefg\`, `"abcdefghijklmno\"`, `{"abcdefghijklmnop`,
+		// The nesting bound: encoding/json's last accepted depth and its
+		// first rejected one.
+		strings.Repeat("[", 10000) + strings.Repeat("]", 10000),
+		strings.Repeat("[", 10001) + strings.Repeat("]", 10001),
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

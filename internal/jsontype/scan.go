@@ -44,6 +44,12 @@ type typeScanner struct {
 	elems  []*Type  // shared stack for in-flight array elements
 }
 
+// maxDepth bounds nesting, as encoding/json does: a value nested in 10,000
+// objects and arrays scans, one in 10,001 is an error. Every later pass
+// recurses once per level, so the bound keeps a hostile record from
+// exhausting the goroutine stack, which is fatal rather than an error.
+const maxDepth = 10000
+
 var scannerPool = sync.Pool{
 	New: func() any { return new(typeScanner) },
 }
@@ -56,7 +62,7 @@ func scanOne(data []byte) (*Type, error) {
 	s := scannerPool.Get().(*typeScanner)
 	defer scannerPool.Put(s)
 	s.reset(data)
-	t, err := s.value()
+	t, err := s.value(0)
 	if err != nil {
 		return nil, err
 	}
@@ -81,7 +87,7 @@ func scanAll(data []byte, out []*Type) ([]*Type, error) {
 		if s.pos >= len(s.data) {
 			return out, nil
 		}
-		t, err := s.value()
+		t, err := s.value(0)
 		if err != nil {
 			return out, err
 		}
@@ -116,17 +122,24 @@ func (s *typeScanner) errf(msg string) error {
 	return fmt.Errorf("jsontype: %s at offset %d", msg, s.pos)
 }
 
+//jx:coldpath error construction runs once per malformed document, not per record
+func (s *typeScanner) tooDeep() error {
+	return s.errf(fmt.Sprintf("nesting exceeds %d levels", maxDepth))
+}
+
+// value scans one value nested in depth objects and arrays.
+//
 //jx:hotpath
-func (s *typeScanner) value() (*Type, error) {
+func (s *typeScanner) value(depth int) (*Type, error) {
 	s.skipSpace()
 	if s.pos >= len(s.data) {
 		return nil, s.errf("unexpected end of JSON")
 	}
 	switch c := s.data[s.pos]; {
 	case c == '{':
-		return s.object()
+		return s.object(depth + 1)
 	case c == '[':
-		return s.array()
+		return s.array(depth + 1)
 	case c == '"':
 		if err := s.skipString(); err != nil {
 			return nil, err
@@ -372,7 +385,10 @@ func (t *keyTable) place(e keyEntry) {
 }
 
 //jx:hotpath
-func (s *typeScanner) object() (*Type, error) {
+func (s *typeScanner) object(depth int) (*Type, error) {
+	if depth > maxDepth {
+		return nil, s.tooDeep()
+	}
 	s.pos++ // '{'
 	mark := len(s.fields)
 	var h uint64 // hashFields of the fields read so far
@@ -398,7 +414,7 @@ func (s *typeScanner) object() (*Type, error) {
 			return nil, s.errf("expected ':' after object key")
 		}
 		s.pos++
-		v, err := s.value()
+		v, err := s.value(depth)
 		if err != nil {
 			return nil, err
 		}
@@ -440,7 +456,10 @@ func (s *typeScanner) object() (*Type, error) {
 }
 
 //jx:hotpath
-func (s *typeScanner) array() (*Type, error) {
+func (s *typeScanner) array(depth int) (*Type, error) {
+	if depth > maxDepth {
+		return nil, s.tooDeep()
+	}
 	s.pos++ // '['
 	mark := len(s.elems)
 	s.skipSpace()
@@ -452,7 +471,7 @@ func (s *typeScanner) array() (*Type, error) {
 		return internArrayScratch(nil), nil
 	}
 	for {
-		v, err := s.value()
+		v, err := s.value(depth)
 		if err != nil {
 			return nil, err
 		}

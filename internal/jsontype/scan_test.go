@@ -2,8 +2,55 @@ package jsontype
 
 import (
 	"encoding/json"
+	"strconv"
+	"strings"
 	"testing"
 )
+
+// nestedDocs returns depth nested arrays and depth nested objects, each
+// with the byte offset of the bracket that opens level depth.
+func nestedDocs(depth int) (docs []string, last []int) {
+	arrays := strings.Repeat("[", depth) + strings.Repeat("]", depth)
+	objects := strings.Repeat(`{"a":`, depth) + "1" + strings.Repeat("}", depth)
+	return []string{arrays, objects}, []int{depth - 1, 5 * (depth - 1)}
+}
+
+// TestScanNestingBound pins the scanner's depth limit to encoding/json's:
+// 10,000 levels scan, and 10,001 or 10⁶ levels are an error naming the
+// offset of the first bracket past the limit, not a fatal stack overflow.
+func TestScanNestingBound(t *testing.T) {
+	ok, _ := nestedDocs(maxDepth)
+	for _, doc := range ok {
+		if _, err := FromJSON([]byte(doc)); err != nil {
+			t.Fatalf("FromJSON at depth %d: %v", maxDepth, err)
+		}
+		if types, err := DecodeAll(strings.NewReader(doc + "\n" + doc)); err != nil || len(types) != 2 {
+			t.Fatalf("DecodeAll at depth %d: %d types, %v", maxDepth, len(types), err)
+		}
+		var v any
+		if err := json.Unmarshal([]byte(doc), &v); err != nil {
+			t.Fatalf("encoding/json rejects depth %d: %v", maxDepth, err)
+		}
+	}
+	_, offsets := nestedDocs(maxDepth + 1)
+	for _, depth := range []int{maxDepth + 1, 1000000} {
+		docs, _ := nestedDocs(depth)
+		for i, doc := range docs {
+			want := "jsontype: nesting exceeds 10000 levels at offset " + strconv.Itoa(offsets[i])
+			if _, err := FromJSON([]byte(doc)); err == nil || err.Error() != want {
+				t.Errorf("FromJSON at depth %d: err = %v, want %q", depth, err, want)
+			}
+			want = "jsontype: nesting exceeds 10000 levels at offset " + strconv.Itoa(offsets[i]+2)
+			if _, err := DecodeAll(strings.NewReader("1 " + doc)); err == nil || err.Error() != want {
+				t.Errorf("DecodeAll at depth %d: err = %v, want %q", depth, err, want)
+			}
+			var v any
+			if json.Unmarshal([]byte(doc), &v) == nil {
+				t.Errorf("encoding/json accepts depth %d", depth)
+			}
+		}
+	}
+}
 
 // wordBoundaryBodies returns string contents of 0 to 17 letters that put
 // the scanner's 8-byte string search on its edges: each of the escapes
