@@ -81,9 +81,9 @@ func (a *Accumulator) unionBag() *jsontype.Bag {
 }
 
 // statsSketch returns the sketch pass ① derives from: the cumulative live
-// sketch, or the tree-reduced rollup of the retained ring windows plus
-// the live epoch. Rollup never consumes the live epoch (it folds through
-// the copying combine), so more records may be added afterwards.
+// sketch, or the rollup of the retained ring windows, folded in order,
+// plus the live epoch. Rollup never consumes the live epoch (it folds
+// through the copying combine), so more records may be added afterwards.
 func (a *Accumulator) statsSketch() *PathSketch {
 	if a.ring == nil {
 		return a.sketch

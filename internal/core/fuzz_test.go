@@ -14,7 +14,10 @@ import (
 // bytes — truncated, bit-flipped, or adversarially constructed — must
 // yield a *SketchFormatError or *SketchVersionError, never a panic, and
 // anything that does decode must survive the operations the reducer will
-// perform on it (Stats, Finish, re-marshal).
+// perform on it (Stats, Finish, re-marshal). The decode entry points must
+// also agree on every input: UnmarshalAccumulator with MergeSketch into a
+// fresh accumulator, and UnmarshalPathSketch with ReducePathSketches over
+// the one file, succeed or fail together and marshal to the same bytes.
 func FuzzSketchDecode(f *testing.F) {
 	// Real sketch files as seeds: a full accumulator, a bag-only file
 	// (sampling map side), and a bare sketch, over structurally rich data.
@@ -64,6 +67,12 @@ func FuzzSketchDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("JXSK"))
 	f.Add([]byte{'J', 'X', 'S', 'K', SketchFormatVersion, 0xff})
+	// One level past jsontype.MaxDepth: the accumulator file fails in its
+	// type table, the bare sketch in its trie. The files at the bound
+	// itself decode, and Finish on them takes seconds, too slow for a seed.
+	deepSketch, deepAcc := nestedFiles(f, jsontype.MaxDepth+1)
+	f.Add(deepSketch)
+	f.Add(deepAcc)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkErr := func(err error) {
@@ -79,22 +88,41 @@ func FuzzSketchDecode(f *testing.F) {
 
 		sketch, err := UnmarshalPathSketch(data)
 		checkErr(err)
+		reduced, reduceErr := ReducePathSketches([][]byte{data})
+		checkErr(reduceErr)
+		if (err == nil) != (reduceErr == nil) {
+			t.Fatalf("UnmarshalPathSketch and ReducePathSketches disagree: %v vs %v", err, reduceErr)
+		}
 		if err == nil {
 			// A decoded sketch must be fully usable.
 			sketch.Stats(Default())
-			if _, err := sketch.Marshal(); err != nil {
+			want, err := sketch.Marshal()
+			if err != nil {
 				t.Fatalf("re-marshal of decoded sketch: %v", err)
+			}
+			if got, _ := reduced.Marshal(); !bytes.Equal(got, want) {
+				t.Fatal("UnmarshalPathSketch and ReducePathSketches marshal differently")
 			}
 		}
 
 		acc, err := UnmarshalAccumulator(data, Default())
 		checkErr(err)
+		merged := NewAccumulator(Default())
+		mergeErr := merged.MergeSketch(data)
+		checkErr(mergeErr)
+		if (err == nil) != (mergeErr == nil) {
+			t.Fatalf("UnmarshalAccumulator and MergeSketch disagree: %v vs %v", err, mergeErr)
+		}
 		if err == nil {
-			acc.Stats()
-			acc.Finish()
-			if _, err := acc.Marshal(); err != nil {
+			want, err := acc.Marshal()
+			if err != nil {
 				t.Fatalf("re-marshal of decoded accumulator: %v", err)
 			}
+			if got, err := merged.Marshal(); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("UnmarshalAccumulator and MergeSketch marshal differently (%v)", err)
+			}
+			acc.Stats()
+			acc.Finish()
 		}
 	})
 }

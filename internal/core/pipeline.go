@@ -64,6 +64,7 @@ type Accumulator struct {
 	bag    *jsontype.Bag // exact union; nil when a reservoir bounds it
 	sketch *PathSketch   // nil when detection sampling defers pass ① to Finish
 	memo   *mergeMemo    // pass-③ subtree cache, kept across Finish calls
+	err    error         // first failed sketch merge; poisons later merges and Marshal
 
 	// Bounded-stream state (Config.Bounds; see bounded.go).
 	res           *jsontype.ReservoirBag // capped union when ReservoirCapacity > 0

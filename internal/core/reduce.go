@@ -47,14 +47,23 @@ func (e *SketchMergeError) Unwrap() error { return e.Err }
 //
 // Like MergeSketch, a corrupt input aborts the reduction with a
 // *SketchMergeError carrying the failing file's index around the typed
-// decode error; the accumulator must then be discarded.
+// decode error, and poisons the accumulator: every later MergeSketch,
+// MergeSketches and Marshal returns that same error value.
 func (a *Accumulator) MergeSketches(files [][]byte, workers int) error {
+	if a.err == nil {
+		a.err = a.mergeSketches(files, workers)
+	}
+	return a.err
+}
+
+// mergeSketches is MergeSketches without the poison check.
+func (a *Accumulator) mergeSketches(files [][]byte, workers int) error {
 	if workers <= 0 {
 		workers = dist.DefaultWorkers()
 	}
 	if workers == 1 || len(files) < 2 {
 		for i, data := range files {
-			if err := a.MergeSketch(data); err != nil {
+			if err := a.mergeSketch(data); err != nil {
 				return &SketchMergeError{Index: i, Err: err}
 			}
 		}
@@ -75,7 +84,7 @@ func (a *Accumulator) MergeSketches(files [][]byte, workers int) error {
 		lo, hi := len(files)*i/runs, len(files)*(i+1)/runs
 		acc := NewAccumulator(a.cfg)
 		for j := lo; j < hi; j++ {
-			if err := acc.MergeSketch(files[j]); err != nil {
+			if err := acc.mergeSketch(files[j]); err != nil {
 				errs[i] = &SketchMergeError{Index: j, Err: err}
 				return
 			}
@@ -92,9 +101,7 @@ func (a *Accumulator) MergeSketches(files [][]byte, workers int) error {
 	// it a final time; otherwise fold it in like any other operand.
 	// Bounded reducers always fold: their reservoir and ring state cannot
 	// be adopted wholesale.
-	res := treeCombine(accs, workers, func(dst, src *Accumulator) {
-		dst.Merge(src)
-	})
+	res := treeCombine(accs, workers)
 	if !a.cfg.Bounds.bounded() && a.bag.Len() == 0 && a.bag.Distinct() == 0 {
 		a.bag = res.bag
 		a.sketch = res.sketch // same configuration, so nil-ness matches
@@ -106,16 +113,14 @@ func (a *Accumulator) MergeSketches(files [][]byte, workers int) error {
 
 // treeCombine merges items down to one by folding adjacent pairs in
 // parallel rounds — ⌈log2(n)⌉ rounds, each halving the count — and
-// returns the survivor (items[0], mutated in place). merge(dst, src) must
-// fold src into dst and is only ever called with dst preceding src, so
-// order-preserving associativity is all it needs; items must be
-// non-empty. Shared by the accumulator reduce above and the sketch-level
-// ReducePathSketches (window.go).
-func treeCombine[E any](items []E, workers int, merge func(dst, src E)) E {
+// returns the survivor (items[0], mutated in place). Each Merge folds an
+// accumulator into the one just before it, so order-preserving
+// associativity is all it needs; items must be non-empty.
+func treeCombine(items []*Accumulator, workers int) *Accumulator {
 	for len(items) > 1 {
 		half := len(items) / 2
 		dist.ForEach(half, workers, func(i int) {
-			merge(items[2*i], items[2*i+1])
+			items[2*i].Merge(items[2*i+1])
 		})
 		next := items[:0]
 		for i := 0; i < half; i++ {

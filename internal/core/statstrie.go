@@ -341,14 +341,6 @@ func (t *statsTrie) setLenCount(length, n int) {
 	t.lenCounts[length] += n
 }
 
-// attachChild links a decoded child subtree under key.
-func (t *statsTrie) attachChild(key string, c *statsTrie) {
-	if t.children == nil {
-		t.children = map[string]*statsTrie{}
-	}
-	t.children[key] = c
-}
-
 // attachElem links a subtree at array position i, padding the positions
 // before it with nil.
 //

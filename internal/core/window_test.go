@@ -266,8 +266,8 @@ func TestBoundedDecisionAgreementOnRegistry(t *testing.T) {
 	}
 }
 
-// ReducePathSketches must reproduce the sequential fold at every worker
-// count (the treeCombine order-preservation contract).
+// ReducePathSketches must reproduce the sequential fold of the decoded
+// sketches.
 func TestReducePathSketchesMatchesSequential(t *testing.T) {
 	chunks := lawSketchChunks()
 	var files [][]byte
@@ -281,17 +281,15 @@ func TestReducePathSketchesMatchesSequential(t *testing.T) {
 		files = append(files, data)
 		seq.Merge(sketchOf(chunk))
 	}
-	for _, workers := range []int{1, 2, 4} {
-		got, err := ReducePathSketches(files, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		requireSameSketch(t, got, seq)
+	got, err := ReducePathSketches(files)
+	if err != nil {
+		t.Fatal(err)
 	}
+	requireSameSketch(t, got, seq)
 }
 
 func TestReducePathSketchesEmptyAndCorrupt(t *testing.T) {
-	empty, err := ReducePathSketches(nil, 4)
+	empty, err := ReducePathSketches(nil)
 	if err != nil || empty.Records() != 0 {
 		t.Fatalf("empty reduce: %v, records=%d", err, empty.Records())
 	}
@@ -299,10 +297,48 @@ func TestReducePathSketchesEmptyAndCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = ReducePathSketches([][]byte{good, good, []byte("garbage")}, 2)
+	_, err = ReducePathSketches([][]byte{good, good, []byte("garbage")})
 	var merr *SketchMergeError
 	if !errors.As(err, &merr) || merr.Index != 2 {
 		t.Fatalf("want *SketchMergeError{Index: 2}, got %v", err)
+	}
+}
+
+// raceEnabled is set under the race detector (race_test.go), which makes
+// sync.Pool drop a random share of the values put back, so allocation
+// counts mean nothing there.
+var raceEnabled bool
+
+// TestReducePathSketchesAllocsNoWorseThanDecodingEach pins the ring
+// rollup's cost: folding four 1,000-record churn windows into one sketch
+// allocates no more than decoding each window on its own, because a node
+// the windows share is allocated once and never copied.
+func TestReducePathSketchesAllocsNoWorseThanDecodingEach(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled decoders at random under -race")
+	}
+	files := make([][]byte, 4)
+	for w := range files {
+		s := NewPathSketch()
+		for i := w * 1000; i < (w+1)*1000; i++ {
+			s.Add(churnRec(t, i))
+		}
+		files[w] = mustMarshalSketch(t, s)
+	}
+	reduce := testing.AllocsPerRun(5, func() {
+		if _, err := ReducePathSketches(files); err != nil {
+			t.Fatal(err)
+		}
+	})
+	each := testing.AllocsPerRun(5, func() {
+		for _, data := range files {
+			if _, err := UnmarshalPathSketch(data); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if reduce > each {
+		t.Errorf("ReducePathSketches allocates more than decoding each window: %.0f vs %.0f allocs/op", reduce, each)
 	}
 }
 

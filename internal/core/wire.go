@@ -54,8 +54,8 @@ import (
 //	     (see statsTrie): a key whose values were all primitive has no
 //	     child entry, and a primitive-only array position is written as an
 //	     empty node — four zero bytes — so every later element keeps its
-//	     index. Decoders create no node for an empty node, so a decoded or
-//	     merged trie also holds nodes only for objects and arrays. Files
+//	     index. The decoder creates no node for an empty node, so a
+//	     decoded trie also holds nodes only for objects and arrays. Files
 //	     written when primitives still had nodes of their own (empty ones)
 //	     decode to the same trie.
 //
@@ -68,7 +68,14 @@ import (
 //
 // Decoding is total: corrupt, truncated, or adversarial input yields a
 // *SketchFormatError (or *SketchVersionError), never a panic — pinned by
-// FuzzSketchDecode.
+// FuzzSketchDecode. Nesting is held to the scanner's bound,
+// jsontype.MaxDepth, in both the type table and the trie, so a decoded
+// file never carries a record deeper than the scanner would have read.
+//
+// There is one decoder, mergeSketchFile, and it folds a file into a
+// caller-given bag and sketch; every entry point (UnmarshalPathSketch,
+// UnmarshalAccumulator, MergeSketch, ReducePathSketches) is that walk
+// with a different destination.
 
 // sketchMagic brands every sketch file.
 const sketchMagic = "JXSK"
@@ -89,11 +96,6 @@ const (
 	secBag  byte = 'B'
 	secTrie byte = 'S'
 )
-
-// maxTrieDepth bounds decode recursion. Encoded depth equals the maximal
-// JSON nesting depth observed, far below this; the bound exists so that
-// adversarial input cannot drive unbounded stack growth.
-const maxTrieDepth = 100_000
 
 // SketchVersionError reports a sketch whose version byte this build does
 // not understand.
@@ -378,13 +380,19 @@ func (s *PathSketch) Marshal() ([]byte, error) {
 // decoders rightly reject, so the receiver refolds statistics from the
 // snapshot bag instead. Drivers that want the windowed statistics
 // themselves should Marshal the rollup sketch (PathSketch.Marshal).
+//
+// An accumulator poisoned by a failed MergeSketch or MergeSketches
+// returns that failure instead of serializing its partial state.
 func (a *Accumulator) Marshal() ([]byte, error) {
+	if a.err != nil {
+		return nil, a.err
+	}
 	enc := getSketchEncoder()
 	defer enc.release()
 	bagBody := enc.appendBag(enc.bagBuf[:0], a.unionBag())
 	enc.bagBuf = bagBody
 	var trieBody []byte
-	if a.sketch != nil && !a.cfg.Bounds.bounded() {
+	if a.exact() {
 		trieBody = binary.AppendUvarint(enc.trieBuf[:0], uint64(a.sketch.records))
 		trieBody = enc.appendNode(trieBody, a.sketch.root)
 		enc.trieBuf = trieBody
@@ -396,21 +404,21 @@ func (a *Accumulator) Marshal() ([]byte, error) {
 
 // sketchDecoder carries decode state and the running offset for error
 // reporting. Decoders are pooled: the key dictionary, duplicate-entry
-// set, and key-set scratch survive across decodes, so the merge-into
-// path touches the allocator only for genuinely new trie structure.
+// set, and key-set scratch survive across decodes, so a decode touches
+// the allocator only for genuinely new trie structure.
 type sketchDecoder struct {
 	data  []byte
 	pos   int
 	keys  []string
 	types *jsontype.TypeDecoder
 
-	// seen deduplicates bag entries within one file on the merge-into
-	// path (the live bag legitimately already holds the file's types, so
-	// its own counts cannot serve as the duplicate check). Keyed by
-	// intern id — pointer-keyed maps are barred by interncheck.
+	// seen deduplicates bag entries within one file (the destination bag
+	// legitimately may already hold the file's types, so its own counts
+	// cannot serve as the duplicate check). Keyed by intern id —
+	// pointer-keyed maps are barred by interncheck.
 	seen map[uint64]struct{}
-	// setScratch is the merge-into key-set buffer; each node consumes its
-	// bitset before recursing, so one buffer serves the whole walk.
+	// setScratch is the key-set buffer; each node consumes its bitset
+	// before recursing, so one buffer serves the whole walk.
 	setScratch entity.KeySet
 }
 
@@ -580,39 +588,6 @@ func (d *sketchDecoder) typeRef(what string) (*jsontype.Type, error) {
 	return t, nil
 }
 
-func (d *sketchDecoder) decodeBag() (*jsontype.Bag, error) {
-	end, err := d.section(secBag)
-	if err != nil {
-		return nil, err
-	}
-	n, err := d.count("bag distinct count", 2)
-	if err != nil {
-		return nil, err
-	}
-	bag := &jsontype.Bag{}
-	for i := 0; i < n; i++ {
-		t, err := d.typeRef("bag type")
-		if err != nil {
-			return nil, err
-		}
-		c, err := d.uvarint("bag count")
-		if err != nil {
-			return nil, err
-		}
-		if c == 0 || c > uint64(maxInt) {
-			return nil, d.errf("bag count %d out of range", c)
-		}
-		if prev := bag.CountOf(t); prev > 0 {
-			return nil, d.errf("duplicate bag entry for type %s", t.Canon())
-		}
-		if uint64(bag.Len())+c > uint64(maxInt) {
-			return nil, d.errf("bag total overflows")
-		}
-		bag.AddN(t, int(c))
-	}
-	return bag, d.finishSection(secBag, end)
-}
-
 //jx:coldpath error construction runs once per malformed input, not per decoded item
 func (d *sketchDecoder) simTruncErr() error {
 	return formatErrf(d.pos, "truncated similarity state")
@@ -663,162 +638,6 @@ func (d *sketchDecoder) skipEmptyNode() bool {
 	return true
 }
 
-// decodeNode decodes one trie node, preorder. An empty child or element
-// node is consumed without creating a node for it.
-func (d *sketchDecoder) decodeNode(depth int) (*statsTrie, error) {
-	if depth > maxTrieDepth {
-		return nil, d.errf("trie deeper than %d", maxTrieDepth)
-	}
-	t := newStatsTrie()
-	objCount, err := d.uvarint("object count")
-	if err != nil {
-		return nil, err
-	}
-	if objCount > uint64(maxInt) {
-		return nil, d.errf("object count %d out of range", objCount)
-	}
-	t.objCount = int(objCount)
-	if t.objCount > 0 {
-		words, err := d.count("key-set word count", 8)
-		if err != nil {
-			return nil, err
-		}
-		set := make(entity.KeySet, words)
-		for i := range set {
-			set[i] = binary.LittleEndian.Uint64(d.data[d.pos:])
-			d.pos += 8
-		}
-		if words > 0 && set[words-1] == 0 {
-			return nil, d.errf("key-set bitset not normalized (trailing zero word)")
-		}
-		var countErr error
-		set.Each(func(id int) {
-			if countErr != nil {
-				return
-			}
-			n, err := d.uvarint("key presence count")
-			if err != nil {
-				countErr = err
-				return
-			}
-			if id >= len(d.keys) {
-				countErr = d.errf("key id %d outside dictionary (%d keys)", id, len(d.keys))
-				return
-			}
-			if n == 0 || n > objCount {
-				countErr = d.errf("key presence count %d outside 1..%d", n, objCount)
-				return
-			}
-			t.setKeyCount(d.keys[id], int(n))
-		})
-		if countErr != nil {
-			return nil, countErr
-		}
-		if err := d.decodeSim(&t.objSim); err != nil {
-			return nil, err
-		}
-	}
-	arrCount, err := d.uvarint("array count")
-	if err != nil {
-		return nil, err
-	}
-	if arrCount > uint64(maxInt) {
-		return nil, d.errf("array count %d out of range", arrCount)
-	}
-	t.arrCount = int(arrCount)
-	if t.arrCount > 0 {
-		n, err := d.count("length histogram size", 2)
-		if err != nil {
-			return nil, err
-		}
-		prev := -1
-		for i := 0; i < n; i++ {
-			length, err := d.uvarint("array length")
-			if err != nil {
-				return nil, err
-			}
-			c, err := d.uvarint("length count")
-			if err != nil {
-				return nil, err
-			}
-			if length > uint64(maxInt) || int(length) <= prev {
-				return nil, d.errf("length histogram not strictly ascending at %d", length)
-			}
-			if c == 0 || c > arrCount {
-				return nil, d.errf("length count %d outside 1..%d", c, arrCount)
-			}
-			prev = int(length)
-			t.setLenCount(int(length), int(c))
-		}
-		if err := d.decodeSim(&t.arrSim); err != nil {
-			return nil, err
-		}
-	}
-	nc, err := d.count("child count", 2)
-	if err != nil {
-		return nil, err
-	}
-	prevKey := -1
-	for i := 0; i < nc; i++ {
-		id, err := d.uvarint("child key id")
-		if err != nil {
-			return nil, err
-		}
-		if id > uint64(len(d.keys)) || int(id) >= len(d.keys) {
-			return nil, d.errf("child key id %d outside dictionary (%d keys)", id, len(d.keys))
-		}
-		if prevKey >= 0 && d.keys[id] <= d.keys[prevKey] {
-			return nil, d.errf("children not key-sorted at id %d", id)
-		}
-		prevKey = int(id)
-		if d.skipEmptyNode() {
-			continue
-		}
-		c, err := d.decodeNode(depth + 1)
-		if err != nil {
-			return nil, err
-		}
-		t.attachChild(d.keys[id], c)
-	}
-	ne, err := d.count("elem count", 1)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < ne; i++ {
-		if d.skipEmptyNode() {
-			continue
-		}
-		c, err := d.decodeNode(depth + 1)
-		if err != nil {
-			return nil, err
-		}
-		t.attachElem(i, c)
-	}
-	return t, nil
-}
-
-func (d *sketchDecoder) decodeTrie() (*PathSketch, error) {
-	end, err := d.section(secTrie)
-	if err != nil {
-		return nil, err
-	}
-	records, err := d.uvarint("record count")
-	if err != nil {
-		return nil, err
-	}
-	if records > uint64(maxInt) {
-		return nil, d.errf("record count %d out of range", records)
-	}
-	root, err := d.decodeNode(0)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.finishSection(secTrie, end); err != nil {
-		return nil, err
-	}
-	return &PathSketch{root: root, records: int(records)}, nil
-}
-
 func (d *sketchDecoder) finish() error {
 	if d.pos != len(d.data) {
 		return d.errf("%d trailing bytes after final section", len(d.data)-d.pos)
@@ -828,53 +647,73 @@ func (d *sketchDecoder) finish() error {
 
 const maxInt = int(^uint(0) >> 1)
 
-// decodeSketchFile parses a whole sketch file into its (optional)
-// components.
-func decodeSketchFile(data []byte) (bag *jsontype.Bag, sketch *PathSketch, err error) {
+// mergeSketchFile is the sketch decoder. It validates a whole file —
+// header, key dictionary, type table, bag and trie — and folds it into bag
+// and sketch: bag entries add into bag, and trie counters accumulate into
+// sketch in place, with nodes allocated only for structure sketch does not
+// hold yet. want is the section the caller requires (flagBag or flagTrie).
+// A nil bag keeps nothing of the bag section and a nil sketch nothing of
+// the trie section; both are still validated. A file without a trie folds
+// its bag's occurrences into sketch instead, so sketch covers every record
+// the file carries either way.
+//
+// On error, bag and sketch may already hold a prefix of the file.
+func mergeSketchFile(data []byte, want byte, bag *jsontype.Bag, sketch *PathSketch) error {
 	d := getSketchDecoder(data)
 	defer d.release()
 	flags, err := d.header()
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
 	if flags&^(flagBag|flagTrie) != 0 {
-		return nil, nil, formatErrf(len(sketchMagic)+1, "unknown flag bits %#x", flags)
+		return formatErrf(len(sketchMagic)+1, "unknown flag bits %#x", flags)
+	}
+	if flags&want == 0 {
+		section := "bag"
+		if want == flagTrie {
+			section = "stats-trie"
+		}
+		return formatErrf(len(sketchMagic)+1, "no %s section in input", section)
 	}
 	if err := d.decodeKeys(); err != nil {
-		return nil, nil, err
+		return err
 	}
 	if err := d.decodeTypes(); err != nil {
-		return nil, nil, err
+		return err
 	}
+	hasTrie := flags&flagTrie != 0
+	bagTotal := -1 // no bag: nothing to check the trie's record count against
 	if flags&flagBag != 0 {
-		if bag, err = d.decodeBag(); err != nil {
-			return nil, nil, err
+		fold := sketch
+		if hasTrie {
+			fold = nil // the file's own trie carries these records
+		}
+		if bagTotal, err = d.mergeBag(bag, fold); err != nil {
+			return err
 		}
 	}
-	if flags&flagTrie != 0 {
-		if sketch, err = d.decodeTrie(); err != nil {
-			return nil, nil, err
+	if hasTrie {
+		if sketch == nil {
+			sketch = NewPathSketch() // validated, then dropped
+		}
+		if err := d.mergeTrie(sketch, bagTotal); err != nil {
+			return err
 		}
 	}
-	if err := d.finish(); err != nil {
-		return nil, nil, err
-	}
-	return bag, sketch, nil
+	return d.finish()
 }
 
-// UnmarshalPathSketch decodes a sketch serialized with PathSketch.Marshal
-// (or the trie section of an accumulator file). The result is
-// observationally equal to the sketch that was marshaled: identical
-// Stats under every configuration, and safe to keep folding into.
+// UnmarshalPathSketch decodes a sketch serialized with PathSketch.Marshal,
+// or the trie section of an accumulator file, whose bag is validated
+// (records against the bag total included) and dropped. The result is
+// observationally equal to the sketch that was marshaled: identical Stats
+// under every configuration, and safe to keep folding into.
 func UnmarshalPathSketch(data []byte) (*PathSketch, error) {
-	_, sketch, err := decodeSketchFile(data)
-	if err != nil {
+	s := NewPathSketch()
+	if err := mergeSketchFile(data, flagTrie, nil, s); err != nil {
 		return nil, err
 	}
-	if sketch == nil {
-		return nil, formatErrf(len(sketchMagic)+1, "no stats-trie section in input")
-	}
-	return sketch, nil
+	return s, nil
 }
 
 // UnmarshalAccumulator decodes accumulated discovery state serialized
@@ -884,109 +723,71 @@ func UnmarshalPathSketch(data []byte) (*PathSketch, error) {
 // deduplicated types — same statistics, more CPU); a sampling
 // configuration ignores the trie, matching NewAccumulator.
 func UnmarshalAccumulator(data []byte, cfg Config) (*Accumulator, error) {
-	bag, sketch, err := decodeSketchFile(data)
-	if err != nil {
-		return nil, err
-	}
-	if bag == nil {
-		return nil, formatErrf(len(sketchMagic)+1, "no bag section in input")
-	}
-	if sketch != nil && sketch.records != bag.Len() {
-		return nil, formatErrf(0, "trie records %d disagree with bag total %d", sketch.records, bag.Len())
-	}
 	a := NewAccumulator(cfg)
-	if a.sketch != nil && sketch != nil && !cfg.Bounds.bounded() {
-		a.bag = bag
-		a.sketch = sketch
+	if a.exact() {
+		if err := mergeSketchFile(data, flagBag, a.bag, a.sketch); err != nil {
+			return nil, err
+		}
 		return a, nil
 	}
-	// Either the configuration wants no sketch (or bounds it, in which
-	// case the bag must replay through the reservoir and window clock), or
-	// the file carries none: fold the bag through the ordinary Add path.
+	// A sampling configuration keeps no sketch, and a bounded one must
+	// replay the bag through the reservoir and the window clock: decode
+	// into a fresh bag, dropping the file's trie, and add that.
+	bag := &jsontype.Bag{}
+	if err := mergeSketchFile(data, flagBag, bag, nil); err != nil {
+		return nil, err
+	}
 	a.AddBag(bag)
 	return a, nil
 }
 
+// exact reports whether the accumulator keeps the exact union bag and one
+// cumulative sketch, the state a sketch file folds into in place.
+func (a *Accumulator) exact() bool { return a.sketch != nil && !a.cfg.Bounds.bounded() }
+
 // MergeSketch decodes a serialized sketch and folds it into the
 // accumulator — the reduce-side step. The result is identical to
 // a.Merge(UnmarshalAccumulator(data, cfg)) for the accumulator's own
-// configuration, but the decode folds *into* the live state: bag entries
-// add straight into the live bag and trie counters accumulate in place,
-// so a merge allocates only for structure the accumulator has not seen,
-// never for a full intermediate accumulator.
+// configuration. An exact accumulator is itself the decode's destination:
+// bag entries add straight into the live bag and trie counters accumulate
+// in place, so a merge allocates only for structure the accumulator has
+// not seen, never for a full intermediate accumulator. A sampling or
+// bounded one decodes into a fresh accumulator and merges that.
 //
 // Error contract: the file is validated exactly as UnmarshalAccumulator
-// validates it, but when MergeSketch returns an error the accumulator may
-// already have absorbed a prefix of the file and must be discarded.
-// Reduce drivers own a fresh accumulator per reduction and abort it
-// wholesale on a corrupt shard, so there is no partial state to preserve.
+// validates it. A failed merge may have absorbed a prefix of the file, so
+// it poisons the accumulator: every later MergeSketch, MergeSketches and
+// Marshal returns the same error value. Add and Finish have no error
+// result and keep working on the partial state, so a driver must discard
+// a poisoned accumulator rather than finish it.
 func (a *Accumulator) MergeSketch(data []byte) error {
-	if a.sketch == nil || a.cfg.Bounds.bounded() {
-		// A sampling configuration keeps no live trie to fold into, and a
-		// bounded one routes occurrences through the reservoir and the
-		// window clock rather than straight into a live bag; either way
-		// the file's trie section must still be fully validated (and is
-		// then discarded or refolded, matching NewAccumulator). The
-		// materializing decoder already does exactly that.
-		other, err := UnmarshalAccumulator(data, a.cfg)
-		if err != nil {
-			return err
-		}
-		a.Merge(other)
-		return nil
+	if a.err == nil {
+		a.err = a.mergeSketch(data)
 	}
-	d := getSketchDecoder(data)
-	defer d.release()
-	return a.mergeSketchFile(d)
+	return a.err
 }
 
-// mergeSketchFile is the merge-into decode: sections fold directly into
-// the live accumulator. Validation mirrors decodeSketchFile +
-// UnmarshalAccumulator check for check; only the destination differs.
-func (a *Accumulator) mergeSketchFile(d *sketchDecoder) error {
-	flags, err := d.header()
+// mergeSketch is MergeSketch without the poison check.
+func (a *Accumulator) mergeSketch(data []byte) error {
+	if a.exact() {
+		return mergeSketchFile(data, flagBag, a.bag, a.sketch)
+	}
+	other, err := UnmarshalAccumulator(data, a.cfg)
 	if err != nil {
 		return err
 	}
-	if flags&^(flagBag|flagTrie) != 0 {
-		return formatErrf(len(sketchMagic)+1, "unknown flag bits %#x", flags)
-	}
-	if flags&flagBag == 0 {
-		return formatErrf(len(sketchMagic)+1, "no bag section in input")
-	}
-	if err := d.decodeKeys(); err != nil {
-		return err
-	}
-	if err := d.decodeTypes(); err != nil {
-		return err
-	}
-	fileHasTrie := flags&flagTrie != 0
-	bagTotal, err := a.mergeBag(d, fileHasTrie)
-	if err != nil {
-		return err
-	}
-	if fileHasTrie {
-		if err := a.mergeTrie(d, bagTotal); err != nil {
-			return err
-		}
-	}
-	return d.finish()
+	a.Merge(other)
+	return nil
 }
 
-// mergeBag folds the bag section into the live accumulator and returns
-// the file's total record count. When the file carries no trie of its
-// own, occurrences are folded into the live sketch as well, mirroring
-// what UnmarshalAccumulator's AddBag fallback would have produced.
-func (a *Accumulator) mergeBag(d *sketchDecoder, fileHasTrie bool) (int, error) {
+// mergeBag folds the bag section into bag and, when sketch is not nil,
+// its occurrences into sketch. It returns the section's record total.
+func (d *sketchDecoder) mergeBag(bag *jsontype.Bag, sketch *PathSketch) (int, error) {
 	end, err := d.section(secBag)
 	if err != nil {
 		return 0, err
 	}
-	n, err := d.count("bag distinct count", 2)
-	if err != nil {
-		return 0, err
-	}
-	total, err := a.mergeBagEntries(d, n, fileHasTrie)
+	total, err := d.mergeBagEntries(bag, sketch)
 	if err != nil {
 		return 0, err
 	}
@@ -1008,12 +809,18 @@ func (d *sketchDecoder) bagOverflowErr() error {
 	return formatErrf(d.pos, "bag total overflows")
 }
 
-// mergeBagEntries decodes n (type ref, count) pairs straight into the
-// live bag. Duplicate detection runs against this file's entries only —
-// the live bag legitimately already contains types the file carries.
+// mergeBagEntries decodes the bag body's (type ref, count) pairs into bag
+// and, when sketch is not nil, folds their occurrences into sketch; bag
+// may be nil too. Duplicate detection runs against this file's entries
+// only — the destination bag legitimately may already contain types the
+// file carries.
 //
 //jx:hotpath
-func (a *Accumulator) mergeBagEntries(d *sketchDecoder, n int, fileHasTrie bool) (int, error) {
+func (d *sketchDecoder) mergeBagEntries(bag *jsontype.Bag, sketch *PathSketch) (int, error) {
+	n, err := d.count("bag distinct count", 2)
+	if err != nil {
+		return 0, err
+	}
 	if d.seen == nil {
 		d.seen = make(map[uint64]struct{}, n)
 	}
@@ -1034,21 +841,24 @@ func (a *Accumulator) mergeBagEntries(d *sketchDecoder, n int, fileHasTrie bool)
 			return 0, d.dupEntryErr(t)
 		}
 		d.seen[t.ID()] = struct{}{}
-		if uint64(total)+c > uint64(maxInt) || uint64(a.bag.Len())+c > uint64(maxInt) {
+		if uint64(total)+c > uint64(maxInt) || bag != nil && uint64(bag.Len())+c > uint64(maxInt) {
 			return 0, d.bagOverflowErr()
 		}
 		total += int(c)
-		a.bag.AddN(t, int(c))
-		if !fileHasTrie && a.sketch != nil {
-			a.sketch.AddN(t, int(c))
+		if bag != nil {
+			bag.AddN(t, int(c))
+		}
+		if sketch != nil {
+			sketch.AddN(t, int(c))
 		}
 	}
 	return total, nil
 }
 
-// mergeTrie folds the stats-trie section into the live sketch, after the
-// same records-vs-bag cross check UnmarshalAccumulator applies.
-func (a *Accumulator) mergeTrie(d *sketchDecoder, bagTotal int) error {
+// mergeTrie folds the stats-trie section into sketch. When the file
+// carries a bag (bagTotal ≥ 0), the trie's record count must equal the
+// bag's total; that is checked before the trie body is read.
+func (d *sketchDecoder) mergeTrie(sketch *PathSketch, bagTotal int) error {
 	end, err := d.section(secTrie)
 	if err != nil {
 		return err
@@ -1060,22 +870,22 @@ func (a *Accumulator) mergeTrie(d *sketchDecoder, bagTotal int) error {
 	if records > uint64(maxInt) {
 		return d.errf("record count %d out of range", records)
 	}
-	if int(records) != bagTotal {
+	if bagTotal >= 0 && int(records) != bagTotal {
 		return formatErrf(0, "trie records %d disagree with bag total %d", records, bagTotal)
 	}
-	if err := d.mergeNode(a.sketch.root, 0); err != nil {
+	if err := d.mergeNode(sketch.root, 0); err != nil {
 		return err
 	}
 	if err := d.finishSection(secTrie, end); err != nil {
 		return err
 	}
-	a.sketch.records += int(records)
+	sketch.records += int(records)
 	return nil
 }
 
 //jx:coldpath error construction runs once per malformed input, not per decoded item
 func (d *sketchDecoder) depthErr() error {
-	return formatErrf(d.pos, "trie deeper than %d", maxTrieDepth)
+	return formatErrf(d.pos, "trie nests deeper than %d levels", jsontype.MaxDepth)
 }
 
 //jx:coldpath error construction runs once per malformed input, not per decoded item
@@ -1108,15 +918,16 @@ func (d *sketchDecoder) childOrderErr(id uint64) error {
 	return formatErrf(d.pos, "children not key-sorted at id %d", id)
 }
 
-// mergeNode folds one encoded trie node, preorder, into the live node t.
-// It mirrors decodeNode's validations byte for byte; only the destination
-// differs — counters accumulate in place (setKeyCount and setLenCount
-// add, combine-style) and child nodes materialize only where the live
-// trie has none and the encoded node is not empty.
+// mergeNode folds one encoded trie node, preorder, into the node t.
+// Counters accumulate in place (setKeyCount and setLenCount add,
+// combine-style) and child nodes materialize only where t has none and
+// the encoded node is not empty. depth is t's depth below the root; a
+// node at depth k holds values nested k+1 levels, so the walk stops short
+// of jsontype.MaxDepth, the scanner's nesting bound.
 //
 //jx:hotpath
 func (d *sketchDecoder) mergeNode(t *statsTrie, depth int) error {
-	if depth > maxTrieDepth {
+	if depth >= jsontype.MaxDepth {
 		return d.depthErr()
 	}
 	objCount, err := d.uvarint("object count")

@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"jxplain/internal/dataset"
@@ -536,6 +538,121 @@ func TestSketchWireRejectsCorrupt(t *testing.T) {
 	}
 	if _, err := UnmarshalPathSketch(bagOnly); !errors.As(err, &ferr) {
 		t.Errorf("trie-less file: got %v, want *SketchFormatError", err)
+	}
+}
+
+// nestedFiles returns a bare sketch file and an accumulator file, each
+// holding one record [[…[null]…]] nested levels deep.
+func nestedFiles(tb testing.TB, levels int) (sketchFile, accFile []byte) {
+	tb.Helper()
+	rec := jsontype.Null
+	for i := 0; i < levels; i++ {
+		rec = jsontype.NewArray([]*jsontype.Type{rec})
+	}
+	s := NewPathSketch()
+	s.Add(rec)
+	acc := NewAccumulator(Default())
+	acc.Add(rec)
+	sketchFile, err := s.Marshal()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if accFile, err = acc.Marshal(); err != nil {
+		tb.Fatal(err)
+	}
+	return sketchFile, accFile
+}
+
+// TestSketchDepthBound holds sketch files to the scanner's nesting bound.
+// A record nested jsontype.MaxDepth levels round-trips through every
+// decode entry point. One level more is a *SketchFormatError: in the type
+// table for an accumulator file, whose bag holds the record itself, and in
+// the trie for a bare sketch file, whose table holds only the record's
+// elements.
+func TestSketchDepthBound(t *testing.T) {
+	sketchFile, accFile := nestedFiles(t, jsontype.MaxDepth)
+	s, err := UnmarshalPathSketch(sketchFile)
+	if err != nil {
+		t.Fatalf("UnmarshalPathSketch at depth %d: %v", jsontype.MaxDepth, err)
+	}
+	if !bytes.Equal(mustMarshalSketch(t, s), sketchFile) {
+		t.Error("UnmarshalPathSketch: re-marshal diverges")
+	}
+	decoded, err := UnmarshalAccumulator(accFile, Default())
+	if err != nil {
+		t.Fatalf("UnmarshalAccumulator at depth %d: %v", jsontype.MaxDepth, err)
+	}
+	merged := NewAccumulator(Default())
+	if err := merged.MergeSketch(accFile); err != nil {
+		t.Fatalf("MergeSketch at depth %d: %v", jsontype.MaxDepth, err)
+	}
+	for name, acc := range map[string]*Accumulator{"UnmarshalAccumulator": decoded, "MergeSketch": merged} {
+		if data, err := acc.Marshal(); err != nil || !bytes.Equal(data, accFile) {
+			t.Errorf("%s: re-marshal diverges (%v)", name, err)
+		}
+	}
+
+	sketchFile, accFile = nestedFiles(t, jsontype.MaxDepth+1)
+	requireTooDeep := func(name string, err error, where string) {
+		t.Helper()
+		var ferr *SketchFormatError
+		if !errors.As(err, &ferr) || !strings.Contains(ferr.Msg, where) {
+			t.Errorf("%s at depth %d: got %v, want a *SketchFormatError naming %q",
+				name, jsontype.MaxDepth+1, err, where)
+		}
+	}
+	_, err = UnmarshalPathSketch(sketchFile)
+	requireTooDeep("UnmarshalPathSketch", err, "trie nests deeper")
+	_, err = UnmarshalAccumulator(accFile, Default())
+	requireTooDeep("UnmarshalAccumulator", err, "type table entry")
+	requireTooDeep("MergeSketch", NewAccumulator(Default()).MergeSketch(accFile), "type table entry")
+}
+
+// TestFailedMergePoisonsAccumulator pins the merge error contract: after a
+// failed MergeSketch or MergeSketches, the accumulator answers every later
+// merge and Marshal with the error that poisoned it, so its partial state
+// can never be shipped as a valid file.
+func TestFailedMergePoisonsAccumulator(t *testing.T) {
+	cfg := Default()
+	valid, err := wireSampleAccumulator(t, "github", 100, cfg).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// cutInside truncates valid halfway through the body of section tag.
+	cutInside := func(tag byte) []byte {
+		pos := len(sketchMagic) + 2
+		for valid[pos] != tag {
+			n, w := binary.Uvarint(valid[pos+1:])
+			pos += 1 + w + int(n)
+		}
+		n, w := binary.Uvarint(valid[pos+1:])
+		return valid[:pos+1+w+int(n)/2]
+	}
+	garbage := []byte("garbage")
+	for _, tc := range []struct {
+		name string
+		fail func(*Accumulator) error
+	}{
+		{"cut in bag", func(a *Accumulator) error { return a.MergeSketch(cutInside(secBag)) }},
+		{"cut in trie", func(a *Accumulator) error { return a.MergeSketch(cutInside(secTrie)) }},
+		{"MergeSketches sequential", func(a *Accumulator) error { return a.MergeSketches([][]byte{valid, garbage}, 1) }},
+		{"MergeSketches tree", func(a *Accumulator) error { return a.MergeSketches([][]byte{valid, garbage, valid}, 2) }},
+	} {
+		acc := wireSampleAccumulator(t, "github", 50, cfg)
+		first := tc.fail(acc)
+		var ferr *SketchFormatError
+		if !errors.As(first, &ferr) {
+			t.Fatalf("%s: got %v, want a *SketchFormatError", tc.name, first)
+		}
+		if err := acc.MergeSketch(valid); err != first {
+			t.Errorf("%s: later MergeSketch returned %v, want the poisoning error", tc.name, err)
+		}
+		if err := acc.MergeSketches([][]byte{valid, valid}, 2); err != first {
+			t.Errorf("%s: later MergeSketches returned %v, want the poisoning error", tc.name, err)
+		}
+		if data, err := acc.Marshal(); err != first || data != nil {
+			t.Errorf("%s: Marshal returned %d bytes and %v, want the poisoning error", tc.name, len(data), err)
+		}
 	}
 }
 

@@ -137,7 +137,8 @@ type TypeDecoder struct {
 // re-interning every entry, and returns the decoder plus the number of
 // bytes consumed. It never panics: malformed input (truncation, forward
 // or out-of-range references, unsorted or duplicate object keys,
-// primitive kinds in the table) yields an error.
+// primitive kinds in the table, an entry nested deeper than MaxDepth)
+// yields an error.
 func DecodeTypeTable(data []byte) (*TypeDecoder, int, error) {
 	pos := 0
 	n, err := readUvarint(data, &pos, "type table length")
@@ -149,12 +150,18 @@ func DecodeTypeTable(data []byte) (*TypeDecoder, int, error) {
 		return nil, 0, fmt.Errorf("jsontype: type table claims %d entries with %d bytes left", n, len(data)-pos)
 	}
 	d := &TypeDecoder{table: make([]*Type, 0, n)}
+	// depths[i] is entry i's nesting depth, tracked as the table is built:
+	// a primitive is 0 and a container is 1 plus its deepest child.
+	depths := make([]int, 0, n)
 	for i := uint64(0); i < n; i++ {
 		if pos >= len(data) {
 			return nil, 0, fmt.Errorf("jsontype: type table truncated at entry %d", i)
 		}
 		kind := Kind(data[pos])
 		pos++
+		var elems []*Type
+		var fields []Field
+		depth := 0 // the deepest child's
 		switch kind {
 		case KindArray:
 			m, err := readUvarint(data, &pos, "array length")
@@ -164,15 +171,14 @@ func DecodeTypeTable(data []byte) (*TypeDecoder, int, error) {
 			if m > uint64(len(data)-pos) {
 				return nil, 0, fmt.Errorf("jsontype: array entry claims %d elements with %d bytes left", m, len(data)-pos)
 			}
-			elems := make([]*Type, m)
+			elems = make([]*Type, m)
 			for j := range elems {
-				c, err := d.readRef(data, &pos, uint64(i))
+				c, cd, err := d.readRef(data, &pos, uint64(i), depths)
 				if err != nil {
 					return nil, 0, err
 				}
-				elems[j] = c
+				elems[j], depth = c, max(depth, cd)
 			}
-			d.table = append(d.table, NewArray(elems))
 		case KindObject:
 			m, err := readUvarint(data, &pos, "field count")
 			if err != nil {
@@ -181,7 +187,7 @@ func DecodeTypeTable(data []byte) (*TypeDecoder, int, error) {
 			if m > uint64(len(data)-pos) {
 				return nil, 0, fmt.Errorf("jsontype: object entry claims %d fields with %d bytes left", m, len(data)-pos)
 			}
-			fields := make([]Field, m)
+			fields = make([]Field, m)
 			prev := ""
 			for j := range fields {
 				kl, err := readUvarint(data, &pos, "key length")
@@ -197,34 +203,47 @@ func DecodeTypeTable(data []byte) (*TypeDecoder, int, error) {
 					return nil, 0, fmt.Errorf("jsontype: object keys not strictly sorted (%q after %q)", key, prev)
 				}
 				prev = key
-				c, err := d.readRef(data, &pos, uint64(i))
+				c, cd, err := d.readRef(data, &pos, uint64(i), depths)
 				if err != nil {
 					return nil, 0, err
 				}
-				fields[j] = Field{Key: key, Type: c}
+				fields[j], depth = Field{Key: key, Type: c}, max(depth, cd)
 			}
-			d.table = append(d.table, NewObject(fields))
 		default:
 			return nil, 0, fmt.Errorf("jsontype: invalid kind byte %d in type table", kind)
+		}
+		if depth >= MaxDepth {
+			return nil, 0, fmt.Errorf("jsontype: type table entry %d nests deeper than %d levels", i, MaxDepth)
+		}
+		depths = append(depths, depth+1)
+		if kind == KindArray {
+			d.table = append(d.table, NewArray(elems))
+		} else {
+			d.table = append(d.table, NewObject(fields))
 		}
 	}
 	return d, pos, nil
 }
 
 // readRef reads one child reference for table entry `entry`, enforcing
-// the children-before-parents invariant.
-func (d *TypeDecoder) readRef(data []byte, pos *int, entry uint64) (*Type, error) {
+// the children-before-parents invariant, and returns the child with its
+// nesting depth (depths holds the earlier entries').
+func (d *TypeDecoder) readRef(data []byte, pos *int, entry uint64, depths []int) (*Type, int, error) {
 	r, err := readUvarint(data, pos, "type ref")
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if r == 0 {
-		return nil, fmt.Errorf("jsontype: nil ref as child of table entry %d", entry)
+		return nil, 0, fmt.Errorf("jsontype: nil ref as child of table entry %d", entry)
 	}
 	if r >= firstComplexRef && r-firstComplexRef >= entry {
-		return nil, fmt.Errorf("jsontype: forward ref %d in table entry %d", r, entry)
+		return nil, 0, fmt.Errorf("jsontype: forward ref %d in table entry %d", r, entry)
 	}
-	return d.Type(r)
+	t, err := d.Type(r)
+	if err != nil || r < firstComplexRef {
+		return t, 0, err
+	}
+	return t, depths[r-firstComplexRef], nil
 }
 
 // Type resolves a wire reference. Reference 0 resolves to nil.

@@ -161,6 +161,33 @@ func TestTypeCodecRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestTypeCodecDepthBound pins the type table to the scanner's nesting
+// bound: a type nested MaxDepth levels, alternating arrays and objects,
+// decodes, and one level more is an error, not a type later passes would
+// recurse through.
+func TestTypeCodecDepthBound(t *testing.T) {
+	nested := func(levels int) []byte {
+		ty := Null
+		for i := 0; i < levels; i++ {
+			if i%2 == 0 {
+				ty = NewArray([]*Type{Number, ty})
+			} else {
+				ty = NewObject([]Field{{Key: "k", Type: ty}})
+			}
+		}
+		enc := NewTypeEncoder()
+		enc.Ref(ty)
+		return enc.Append(nil)
+	}
+	if _, _, err := DecodeTypeTable(nested(MaxDepth)); err != nil {
+		t.Fatalf("depth %d: %v", MaxDepth, err)
+	}
+	_, _, err := DecodeTypeTable(nested(MaxDepth + 1))
+	if err == nil || !strings.Contains(err.Error(), "nests deeper than") {
+		t.Fatalf("depth %d: got %v, want a nesting error", MaxDepth+1, err)
+	}
+}
+
 // TestRestoreSimilarityAccumulator checks the restore constructor against
 // live accumulators in all three observable states.
 func TestRestoreSimilarityAccumulator(t *testing.T) {

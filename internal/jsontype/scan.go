@@ -44,11 +44,13 @@ type typeScanner struct {
 	elems  []*Type  // shared stack for in-flight array elements
 }
 
-// maxDepth bounds nesting, as encoding/json does: a value nested in 10,000
+// MaxDepth bounds nesting, as encoding/json does: a value nested in 10,000
 // objects and arrays scans, one in 10,001 is an error. Every later pass
 // recurses once per level, so the bound keeps a hostile record from
 // exhausting the goroutine stack, which is fatal rather than an error.
-const maxDepth = 10000
+// The type-table decoder and the sketch decoder enforce the same bound on
+// serialized input.
+const MaxDepth = 10000
 
 var scannerPool = sync.Pool{
 	New: func() any { return new(typeScanner) },
@@ -124,7 +126,7 @@ func (s *typeScanner) errf(msg string) error {
 
 //jx:coldpath error construction runs once per malformed document, not per record
 func (s *typeScanner) tooDeep() error {
-	return s.errf(fmt.Sprintf("nesting exceeds %d levels", maxDepth))
+	return s.errf(fmt.Sprintf("nesting exceeds %d levels", MaxDepth))
 }
 
 // value scans one value nested in depth objects and arrays.
@@ -386,7 +388,7 @@ func (t *keyTable) place(e keyEntry) {
 
 //jx:hotpath
 func (s *typeScanner) object(depth int) (*Type, error) {
-	if depth > maxDepth {
+	if depth > MaxDepth {
 		return nil, s.tooDeep()
 	}
 	s.pos++ // '{'
@@ -457,7 +459,7 @@ func (s *typeScanner) object(depth int) (*Type, error) {
 
 //jx:hotpath
 func (s *typeScanner) array(depth int) (*Type, error) {
-	if depth > maxDepth {
+	if depth > MaxDepth {
 		return nil, s.tooDeep()
 	}
 	s.pos++ // '['

@@ -19,21 +19,21 @@ func nestedDocs(depth int) (docs []string, last []int) {
 // 10,000 levels scan, and 10,001 or 10⁶ levels are an error naming the
 // offset of the first bracket past the limit, not a fatal stack overflow.
 func TestScanNestingBound(t *testing.T) {
-	ok, _ := nestedDocs(maxDepth)
+	ok, _ := nestedDocs(MaxDepth)
 	for _, doc := range ok {
 		if _, err := FromJSON([]byte(doc)); err != nil {
-			t.Fatalf("FromJSON at depth %d: %v", maxDepth, err)
+			t.Fatalf("FromJSON at depth %d: %v", MaxDepth, err)
 		}
 		if types, err := DecodeAll(strings.NewReader(doc + "\n" + doc)); err != nil || len(types) != 2 {
-			t.Fatalf("DecodeAll at depth %d: %d types, %v", maxDepth, len(types), err)
+			t.Fatalf("DecodeAll at depth %d: %d types, %v", MaxDepth, len(types), err)
 		}
 		var v any
 		if err := json.Unmarshal([]byte(doc), &v); err != nil {
-			t.Fatalf("encoding/json rejects depth %d: %v", maxDepth, err)
+			t.Fatalf("encoding/json rejects depth %d: %v", MaxDepth, err)
 		}
 	}
-	_, offsets := nestedDocs(maxDepth + 1)
-	for _, depth := range []int{maxDepth + 1, 1000000} {
+	_, offsets := nestedDocs(MaxDepth + 1)
+	for _, depth := range []int{MaxDepth + 1, 1000000} {
 		docs, _ := nestedDocs(depth)
 		for i, doc := range docs {
 			want := "jsontype: nesting exceeds 10000 levels at offset " + strconv.Itoa(offsets[i])

@@ -180,7 +180,10 @@ func (d *Discoverer) MarshalSketch() ([]byte, error) { return d.acc.Marshal() }
 // MergeSketch folds a serialized sketch into the discoverer, as if every
 // record behind the sketch had been added directly. It returns a typed
 // error (core.SketchVersionError, core.SketchFormatError) on input this
-// build cannot read.
+// build cannot read. A failed merge may leave part of the file folded in,
+// so it poisons the discoverer: every later MergeSketch, MergeSketches
+// and MarshalSketch returns the same error. Add and Finish do not check
+// for it, so discard a poisoned discoverer rather than finish it.
 func (d *Discoverer) MergeSketch(data []byte) error { return d.acc.MergeSketch(data) }
 
 // MergeSketches folds the serialized sketches into the discoverer in
@@ -188,8 +191,8 @@ func (d *Discoverer) MergeSketch(data []byte) error { return d.acc.MergeSketch(d
 // concurrent goroutines (0 = one per core). The result is byte-identical
 // to calling MergeSketch on each file in sequence — adjacent-pair merging
 // preserves first-seen type order — while the decode work scales with the
-// worker count. On error (a *core.SketchMergeError naming the failing
-// file's index) the discoverer must be discarded.
+// worker count. An error (a *core.SketchMergeError naming the failing
+// file's index) poisons the discoverer as a failed MergeSketch does.
 func (d *Discoverer) MergeSketches(sketches [][]byte, workers int) error {
 	return d.acc.MergeSketches(sketches, workers)
 }
