@@ -106,10 +106,15 @@ func TestJSONLFlag(t *testing.T) {
 	if serial.String() != parallel.String() {
 		t.Errorf("jsonl decode changed the schema:\n%s\n%s", serial.String(), parallel.String())
 	}
-	// Line errors carry line numbers.
-	err := runOut([]string{"-jsonl"}, "{\"a\":1}\n{bad\n", &strings.Builder{})
-	if err == nil || !strings.Contains(err.Error(), "line 2") {
-		t.Errorf("err = %v", err)
+	// Line errors carry line numbers, blank lines counted.
+	for input, line := range map[string]string{
+		"{\"a\":1}\n{bad\n":              "line 2: ",
+		"{\"a\":1}\n\n{\"a\":2}\n{bad\n": "line 4: ",
+	} {
+		err := runOut([]string{"-jsonl"}, input, &strings.Builder{})
+		if err == nil || !strings.Contains(err.Error(), line) {
+			t.Errorf("%q: err = %v, want it to name %q", input, err, line)
+		}
 	}
 }
 

@@ -25,6 +25,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -306,10 +307,25 @@ func sizedInput(input io.Reader, dir string) (int64, io.Reader, func(), error) {
 }
 
 // mapWorker is one running `jxshard map` process being fed its shard over
-// stdin.
+// stdin, through a buffer so that forwarding costs a pipe write per
+// buffer, not two per record.
 type mapWorker struct {
 	cmd   *exec.Cmd
 	stdin io.WriteCloser
+	buf   *bufio.Writer
+}
+
+// feedBufferSize is the forwarding buffer run keeps per shard.
+const feedBufferSize = 64 << 10
+
+// finish flushes what is buffered for the worker and closes its stdin, so
+// the worker sees the end of its shard.
+func (w *mapWorker) finish() error {
+	if err := w.buf.Flush(); err != nil {
+		w.stdin.Close()
+		return err
+	}
+	return w.stdin.Close()
 }
 
 // feedShards starts n map workers reading stdin and writing per-shard
@@ -334,28 +350,33 @@ func feedShards(input io.Reader, size int64, n int, jsonl bool, tmp, exe string,
 		if err := cmd.Start(); err != nil {
 			return nil, err
 		}
-		workerz[i] = &mapWorker{cmd: cmd, stdin: w}
+		workerz[i] = &mapWorker{cmd: cmd, stdin: w, buf: bufio.NewWriterSize(w, feedBufferSize)}
 	}
 	// On every return path, close any unfed stdin (workers see EOF and
 	// emit an empty sketch) and reap the processes.
 	cur, written := 0, int64(0)
 	scanErr := ingest.Records(input, ingest.Options{JSONL: jsonl}, func(rec []byte) error {
 		for cur < n-1 && written >= size*int64(cur+1)/int64(n) {
-			if err := workerz[cur].stdin.Close(); err != nil {
-				return err
+			if err := workerz[cur].finish(); err != nil {
+				return fmt.Errorf("feeding shard %d: %w", cur, err)
 			}
 			cur++
 		}
-		w := workerz[cur].stdin
+		w := workerz[cur].buf
 		if _, err := w.Write(rec); err != nil {
 			return fmt.Errorf("feeding shard %d: %w", cur, err)
 		}
-		if _, err := w.Write([]byte{'\n'}); err != nil {
+		if err := w.WriteByte('\n'); err != nil {
 			return fmt.Errorf("feeding shard %d: %w", cur, err)
 		}
 		written += int64(len(rec)) + 1
 		return nil
 	})
+	if scanErr == nil {
+		if err := workerz[cur].finish(); err != nil {
+			scanErr = fmt.Errorf("feeding shard %d: %w", cur, err)
+		}
+	}
 	var waitErr error
 	for i, w := range workerz {
 		w.stdin.Close() // idempotent; signals EOF to every remaining shard

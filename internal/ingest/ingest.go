@@ -3,13 +3,15 @@
 // jsontype.Bag through a decode worker pool.
 //
 // This is the streaming front half of discovery. A single splitter
-// goroutine frames raw records (a cheap byte scan for JSONL, a value-level
-// token scan for concatenated JSON), batches them into chunks of
-// Options.ChunkSize records, and hands the chunks to Options.Workers
-// decoding goroutines; decoded chunks are re-sequenced and delivered to
-// the caller strictly in input order, so downstream accumulation is
-// deterministic regardless of worker scheduling. Memory is bounded by
-// O(ChunkSize · Workers) raw records in flight — never by the length of
+// goroutine frames raw records into blocks of Options.ChunkSize records
+// and hands them to Options.Workers decoding goroutines. For JSONL it
+// reads the stream straight into a block and cuts it after the chunk's
+// last line, so the records alias the block and none is copied; for
+// concatenated JSON a value-level token scan appends each record to the
+// block. Decoded chunks are re-sequenced and delivered to the caller
+// strictly in input order, so downstream accumulation is deterministic
+// regardless of worker scheduling. Memory is bounded by at most
+// Workers+2 blocks of about one chunk's bytes — never by the length of
 // the stream — which is what lets the pipeline discover collections far
 // larger than RAM.
 //
@@ -21,10 +23,8 @@ package ingest
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -71,13 +71,6 @@ type Chunk struct {
 	Index int
 }
 
-// rawChunk is a batch of framed-but-undecoded records.
-type rawChunk struct {
-	index     int
-	firstLine int // 1-based line of the first record (JSONL), else ordinal
-	records   [][]byte
-}
-
 // Each streams r as bounded chunks, calling fn once per chunk, in input
 // order, from the calling goroutine's ordering domain (fn calls never
 // overlap). It returns the total record count. A non-nil error from fn
@@ -93,18 +86,27 @@ func Each(ctx context.Context, r io.Reader, opts Options, fn func(Chunk) error) 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	raws := make(chan rawChunk, opts.Workers)
+	// free holds every block there is. The splitter takes each block it
+	// fills from it, and a worker puts a block back once its chunk is
+	// scanned, so a send to free never blocks. Workers+2 blocks let every
+	// worker scan while the splitter fills one block and moves its tail
+	// into the next.
+	free := make(chan *block, opts.Workers+2)
+	for i := 0; i < cap(free); i++ {
+		free <- new(block)
+	}
+	raws := make(chan *block, opts.Workers)
 	type decoded struct {
 		chunk Chunk
 		err   error
 	}
 	results := make(chan decoded, opts.Workers)
 
-	// Splitter: frame records and batch them into raw chunks.
+	// Splitter: frame records into blocks of one chunk each.
 	splitErr := make(chan error, 1)
 	go func() {
 		defer close(raws)
-		splitErr <- split(ctx, r, opts, raws)
+		splitErr <- split(ctx, r, opts, free, raws)
 	}()
 
 	// Decode workers: parse each record of a chunk and fold it into a bag.
@@ -113,21 +115,17 @@ func Each(ctx context.Context, r io.Reader, opts Options, fn func(Chunk) error) 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for raw := range raws {
-				out := decoded{chunk: Chunk{Bag: &jsontype.Bag{}, Index: raw.index}}
-				for i, rec := range raw.records {
-					t, err := jsontype.FromJSON(rec)
+			for b := range raws {
+				out := decoded{chunk: Chunk{Bag: &jsontype.Bag{}, Index: b.index}}
+				for i, rec := range b.recs {
+					t, err := jsontype.FromJSON(b.buf[rec.start:rec.end])
 					if err != nil {
-						if opts.JSONL {
-							err = fmt.Errorf("line %d: %w", raw.firstLine+i, err)
-						} else {
-							err = fmt.Errorf("record %d: %w", raw.firstLine+i, err)
-						}
-						out.err = err
+						out.err = b.recordError(i, opts.JSONL, err)
 						break
 					}
 					out.chunk.Bag.Add(t)
 				}
+				free <- b
 				out.chunk.Records = out.chunk.Bag.Len()
 				select {
 				case results <- out:
@@ -186,7 +184,7 @@ func Each(ctx context.Context, r io.Reader, opts Options, fn func(Chunk) error) 
 }
 
 // Records frames the stream record by record without decoding: each call
-// to fn receives the raw bytes of one JSON record, newline excluded, in
+// to fn receives the raw bytes of one JSON record, line end excluded, in
 // stream order. Only Options.JSONL and Options.MaxRecordBytes apply.
 // Memory is bounded by the largest single record, never by the stream
 // length, which is what lets a sharding driver cut a corpus into
@@ -198,19 +196,19 @@ func Each(ctx context.Context, r io.Reader, opts Options, fn func(Chunk) error) 
 func Records(r io.Reader, opts Options, fn func(rec []byte) error) error {
 	opts = opts.withDefaults()
 	if opts.JSONL {
-		scanner := lineScanner(r, opts.MaxRecordBytes)
-		line := 0
-		for scanner.Scan() {
-			line++
-			data := scanner.Bytes()
-			if len(bytes.TrimSpace(data)) == 0 {
-				continue
+		f := lineFramer{r: r, max: opts.MaxRecordBytes, line: 1, reuse: true}
+		for {
+			start, end, err := f.next()
+			if err == io.EOF {
+				return nil
 			}
-			if err := fn(data); err != nil {
+			if err != nil {
+				return err
+			}
+			if err := fn(f.buf[start:end]); err != nil {
 				return err
 			}
 		}
-		return lineError(scanner.Err(), line+1, opts.MaxRecordBytes)
 	}
 	dec := json.NewDecoder(bufio.NewReaderSize(r, 1<<16))
 	record := 0
@@ -227,97 +225,117 @@ func Records(r io.Reader, opts Options, fn func(rec []byte) error) error {
 	return nil
 }
 
-// split frames the stream into raw chunks. It returns nil at EOF and
+// split frames the stream into blocks of one chunk each, taking every
+// block from free and sending it to out. It returns nil at EOF and
 // ctx.Err() when cancelled mid-stream.
-func split(ctx context.Context, r io.Reader, opts Options, out chan<- rawChunk) error {
-	send := func(c rawChunk) error {
+func split(ctx context.Context, r io.Reader, opts Options, free <-chan *block, out chan<- *block) error {
+	take := func() (*block, error) {
 		select {
-		case out <- c:
+		case b := <-free:
+			return b, nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	send := func(b *block) error {
+		select {
+		case out <- b:
 			return nil
 		case <-ctx.Done():
 			return ctx.Err()
 		}
 	}
-	index := 0
 	if opts.JSONL {
-		scanner := lineScanner(r, opts.MaxRecordBytes)
-		var batch [][]byte
-		line, firstLine := 0, 0
-		for scanner.Scan() {
-			line++
-			data := scanner.Bytes()
-			if len(bytes.TrimSpace(data)) == 0 {
-				continue
-			}
-			if len(batch) == 0 {
-				firstLine = line
-			}
-			batch = append(batch, append([]byte(nil), data...))
-			if len(batch) >= opts.ChunkSize {
-				if err := send(rawChunk{index: index, firstLine: firstLine, records: batch}); err != nil {
-					return err
-				}
-				index++
-				batch = nil
-			}
-		}
-		if err := scanner.Err(); err != nil {
-			return lineError(err, line+1, opts.MaxRecordBytes)
-		}
-		if len(batch) > 0 {
-			return send(rawChunk{index: index, firstLine: firstLine, records: batch})
-		}
-		return nil
+		return splitLines(r, opts, take, send)
 	}
 
-	// Concatenated JSON: frame whole values with a RawMessage scan. The
-	// bytes are re-parsed by the workers; framing is the cheap part and
-	// stays sequential because value boundaries require a token scan.
+	// Concatenated JSON: frame whole values with a RawMessage scan and
+	// append each to the block. The bytes are re-parsed by the workers;
+	// framing is the cheap part and stays sequential because value
+	// boundaries require a token scan.
 	dec := json.NewDecoder(bufio.NewReaderSize(r, 1<<16))
-	var batch [][]byte
-	record, firstRecord := 0, 0
-	for dec.More() {
+	var (
+		raw  json.RawMessage // reused: Decode appends into it
+		b    *block
+		size int // byte size of the last chunk sent
+	)
+	for index, record := 0, 0; dec.More(); {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		var raw json.RawMessage
 		if err := dec.Decode(&raw); err != nil {
 			return fmt.Errorf("record %d: %w", record+1, err)
 		}
 		record++
-		if len(batch) == 0 {
-			firstRecord = record
-		}
-		batch = append(batch, []byte(raw))
-		if len(batch) >= opts.ChunkSize {
-			if err := send(rawChunk{index: index, firstLine: firstRecord, records: batch}); err != nil {
+		if b == nil {
+			var err error
+			if b, err = take(); err != nil {
 				return err
 			}
+			b.reset(index, record, size)
 			index++
-			batch = nil
+		}
+		b.recs = append(b.recs, span{len(b.buf), len(b.buf) + len(raw)})
+		b.buf = append(b.buf, raw...)
+		if len(b.recs) == opts.ChunkSize {
+			size = len(b.buf)
+			if err := send(b); err != nil {
+				return err
+			}
+			b = nil
 		}
 	}
-	if len(batch) > 0 {
-		return send(rawChunk{index: index, firstLine: firstRecord, records: batch})
+	if b != nil {
+		return send(b)
 	}
 	return nil
 }
 
-// lineScanner frames r as lines of at most maxRecord bytes, newline
-// included.
-func lineScanner(r io.Reader, maxRecord int) *bufio.Scanner {
-	scanner := bufio.NewScanner(r)
-	scanner.Buffer(make([]byte, 0, min(1<<16, maxRecord)), maxRecord)
-	return scanner
-}
-
-// lineError names the line a lineScanner stopped at when that line is
-// longer than maxRecord, keeping bufio.ErrTooLong reachable with
-// errors.Is. Other errors come from the reader and are returned as they
-// are.
-func lineError(err error, line, maxRecord int) error {
-	if errors.Is(err, bufio.ErrTooLong) {
-		return fmt.Errorf("line %d: record exceeds %d bytes: %w", line, maxRecord, err)
+// splitLines frames JSONL into blocks: it reads the stream into a block
+// and cuts it after the chunk's ChunkSize-th non-blank line, so every
+// chunk but the last holds exactly ChunkSize records. The bytes read past
+// the cut move into the next block, whose capacity follows the byte size
+// of the chunk just cut, and is at least one read. Reads stop at a
+// block's capacity, so a block needs no room past its chunk for the read
+// that crosses the cut. A block about to fill grows to the size its
+// records so far predict for the chunk, so the first block does not grow
+// a read at a time, but to at most maxGrowth times its bytes; a block
+// that fills anyway doubles.
+func splitLines(r io.Reader, opts Options, take func() (*block, error), send func(*block) error) error {
+	f := lineFramer{r: r, max: opts.MaxRecordBytes, line: 1}
+	var b *block
+	size := 0 // byte size of the last chunk cut
+	for index := 0; ; index++ {
+		next, err := take()
+		if err != nil {
+			return err
+		}
+		next.reset(index, f.line, max(size, readSize))
+		next.buf = append(next.buf, f.buf[f.pos:]...)
+		if b != nil {
+			b.buf = f.buf[:f.pos]
+			if err := send(b); err != nil {
+				return err
+			}
+		}
+		b, f.buf, f.scan, f.pos = next, next.buf, f.scan-f.pos, 0
+		for len(b.recs) < opts.ChunkSize {
+			start, end, err := f.next()
+			if err == io.EOF {
+				if len(b.recs) == 0 {
+					return nil
+				}
+				b.buf = f.buf
+				return send(b)
+			}
+			if err != nil {
+				return err
+			}
+			b.recs = append(b.recs, span{start, end})
+			if cap(f.buf)-len(f.buf) < readSize {
+				f.reserve(len(b.recs), opts.ChunkSize)
+			}
+		}
+		size = f.pos
 	}
-	return err
 }

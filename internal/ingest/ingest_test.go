@@ -2,12 +2,16 @@ package ingest
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"jxplain/internal/jsontype"
@@ -78,13 +82,21 @@ func TestEachConcatenatedAndBlankLines(t *testing.T) {
 }
 
 func TestEachDecodeErrors(t *testing.T) {
-	// JSONL errors carry line numbers.
-	_, err := Each(context.Background(), strings.NewReader("{\"a\":1}\n{bad\n"), Options{JSONL: true}, func(Chunk) error { return nil })
-	if err == nil || !strings.Contains(err.Error(), "line 2") {
-		t.Errorf("err = %v", err)
+	// JSONL errors carry line numbers, blank lines counted.
+	for input, line := range map[string]string{
+		"{\"a\":1}\n{bad\n":                     "line 2: ",
+		"{\"a\":1}\n\n\n{bad\n":                 "line 4: ",
+		"\n{\"a\":1}\n \r\n{\"a\":2}\n\n{bad\n": "line 6: ",
+	} {
+		for _, chunk := range []int{1, 2, 0} {
+			_, err := Each(context.Background(), strings.NewReader(input), Options{JSONL: true, ChunkSize: chunk}, func(Chunk) error { return nil })
+			if err == nil || !strings.HasPrefix(err.Error(), line) {
+				t.Errorf("%q, chunk %d: err = %v, want %q…", input, chunk, err, line)
+			}
+		}
 	}
 	// Concatenated truncation fails too.
-	_, err = Each(context.Background(), strings.NewReader(`{"a":`), Options{}, func(Chunk) error { return nil })
+	_, err := Each(context.Background(), strings.NewReader(`{"a":`), Options{}, func(Chunk) error { return nil })
 	if err == nil {
 		t.Error("truncated input should fail")
 	}
@@ -239,6 +251,277 @@ func TestEachMatchesDecodeAll(t *testing.T) {
 	for i, ty := range wantBag.Types() {
 		if got.Types()[i].Canon() != ty.Canon() {
 			t.Fatalf("distinct type %d out of order", i)
+		}
+	}
+}
+
+// readers wraps input in readers that return it whole, one byte per Read
+// and half of each request per Read.
+var readers = []struct {
+	name string
+	wrap func(string) io.Reader
+}{
+	{"whole", func(s string) io.Reader { return strings.NewReader(s) }},
+	{"one byte", func(s string) io.Reader { return iotest.OneByteReader(strings.NewReader(s)) }},
+	{"half", func(s string) io.Reader { return iotest.HalfReader(strings.NewReader(s)) }},
+}
+
+// framed returns the records Records passes to fn, and checks that Each,
+// at every chunk size given, sees the same records: each chunk but the
+// last holds exactly ChunkSize of them, and its bag is theirs.
+func framed(t *testing.T, input string, wrap func(string) io.Reader, opts Options, chunks ...int) []string {
+	t.Helper()
+	var recs []string
+	err := Records(wrap(input), opts, func(rec []byte) error {
+		recs = append(recs, string(rec))
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("Records: %v", err)
+	}
+	for _, size := range chunks {
+		opts := opts
+		opts.ChunkSize, opts.Workers = size, 3
+		next := 0
+		_, err := Each(context.Background(), wrap(input), opts, func(c Chunk) error {
+			if c.Records != size && next+c.Records != len(recs) {
+				t.Errorf("chunk %d of %d records holds %d records", c.Index, size, c.Records)
+			}
+			want := &jsontype.Bag{}
+			for _, rec := range recs[next:min(next+c.Records, len(recs))] {
+				ty, err := jsontype.FromJSON([]byte(rec))
+				if err != nil {
+					t.Fatalf("record %q: %v", rec, err)
+				}
+				want.Add(ty)
+			}
+			if !sameBag(c.Bag, want) {
+				t.Errorf("chunk %d of %d records: bag differs from Records' records %d..%d", c.Index, size, next, next+c.Records)
+			}
+			next += c.Records
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("Each, chunks of %d: %v", size, err)
+		}
+		if next != len(recs) {
+			t.Errorf("Each, chunks of %d: %d records, Records framed %d", size, next, len(recs))
+		}
+	}
+	return recs
+}
+
+// sameBag reports whether two bags hold the same types, in the same
+// order, with the same counts.
+func sameBag(a, b *jsontype.Bag) bool {
+	if a.Len() != b.Len() || a.Distinct() != b.Distinct() {
+		return false
+	}
+	for i, ty := range a.Types() {
+		if b.Types()[i] != ty || a.Count(i) != b.Count(i) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestLineFraming drives the JSONL framer through line ends, blank lines
+// and readers that return little at a time. Records gets each record
+// without its "\n" or "\r\n", skipping lines that are blank or hold only
+// whitespace, and Each sees the same records in chunks of every size.
+func TestLineFraming(t *testing.T) {
+	for _, c := range []struct {
+		input string
+		want  []string
+	}{
+		{"{\"a\":1}\r\n{\"b\":2}\r\n", []string{`{"a":1}`, `{"b":2}`}},
+		{"{\"a\":1}\n[2,3]", []string{`{"a":1}`, `[2,3]`}},
+		{"{\"a\":1}\r\n\"x\"\r", []string{`{"a":1}`, `"x"`}},
+		{"  \n\t\n{\"a\":1}\n \r\n\r\n\n {\"b\":[]} \n\v\n\n", []string{`{"a":1}`, ` {"b":[]} `}},
+		{"\n \n", nil},
+		{"", nil},
+		{jsonl(300), strings.Split(strings.TrimSuffix(jsonl(300), "\n"), "\n")},
+	} {
+		for _, r := range readers {
+			got := framed(t, c.input, r.wrap, Options{JSONL: true}, 1, 2, 7, 2048)
+			if strings.Join(got, "|") != strings.Join(c.want, "|") {
+				t.Errorf("%s reader, %q: records %q, want %q", r.name, c.input, got, c.want)
+			}
+		}
+	}
+}
+
+// scannerLines frames data the way a bufio.Scanner over ScanLines does,
+// capped at limit bytes per line: the reference for the JSONL framer. It
+// returns the non-blank lines, their 1-based line numbers, and the error
+// naming the first line that is too long.
+func scannerLines(data []byte, limit int) (recs []string, lines []int, err error) {
+	sc := bufio.NewScanner(bytes.NewReader(data))
+	sc.Buffer(make([]byte, 0, min(readSize, limit)), limit)
+	line := 0
+	for sc.Scan() {
+		line++
+		if len(bytes.TrimSpace(sc.Bytes())) > 0 {
+			recs, lines = append(recs, sc.Text()), append(lines, line)
+		}
+	}
+	if sc.Err() != nil {
+		err = fmt.Errorf("line %d: record exceeds %d bytes: %w", line+1, limit, sc.Err())
+	}
+	return recs, lines, err
+}
+
+// FuzzLineFraming checks the JSONL framer against bufio.Scanner on
+// arbitrary input and line caps: Records must pass the same records and
+// fail with the same error. Where every line fits, Each must count the
+// same records, and where exactly one of them is not JSON, name its line.
+func FuzzLineFraming(f *testing.F) {
+	for _, s := range []string{
+		"{\"a\":1}\n{\"b\":2}", "{\"a\":1}\r\n\r\n \t\n[1]\r", "\n\n{bad\n{}\n", "\r", "\v\n\u00a0\n1",
+		"{\"k\":\"xxxxxxxx\"}\n[]\n", strings.Repeat("{}\n", 10) + "{",
+	} {
+		f.Add([]byte(s), uint8(0))
+		f.Add([]byte(s), uint8(5))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, maxRecord uint8) {
+		opts := Options{JSONL: true, MaxRecordBytes: int(maxRecord)}
+		limit := opts.withDefaults().MaxRecordBytes
+		want, lines, wantErr := scannerLines(data, limit)
+		var got []string
+		err := Records(bytes.NewReader(data), opts, func(rec []byte) error {
+			got = append(got, string(rec))
+			return nil
+		})
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || !slices.Equal(got, want) {
+			t.Fatalf("Records: %q, %v; bufio.Scanner: %q, %v", got, err, want, wantErr)
+		}
+		if wantErr != nil {
+			return
+		}
+		bad := -1
+		for i, rec := range want {
+			if _, err := jsontype.FromJSON([]byte(rec)); err != nil {
+				if bad >= 0 {
+					return // which error Each reports is not fixed
+				}
+				bad = i
+			}
+		}
+		opts.ChunkSize, opts.Workers = 3, 2
+		n, err := Each(context.Background(), bytes.NewReader(data), opts, func(Chunk) error { return nil })
+		switch {
+		case bad < 0 && (err != nil || n != len(want)):
+			t.Fatalf("Each: %d records, %v; want %d", n, err, len(want))
+		case bad >= 0 && (err == nil || !strings.HasPrefix(err.Error(), fmt.Sprintf("line %d: ", lines[bad]))):
+			t.Fatalf("Each: %v; want an error on line %d", err, lines[bad])
+		}
+	})
+}
+
+// TestLineFramingSizeCap pins the edge of the record size cap: with or
+// without a newline after it, a record of MaxRecordBytes-1 bytes is read
+// and one of MaxRecordBytes bytes is an error naming its line. The cap
+// exceeds the framer's read size, so the record spans reads, and with
+// one-record chunks it starts in the tail that moves from the first block
+// into the next.
+func TestLineFramingSizeCap(t *testing.T) {
+	const limit = readSize + 1000
+	record := func(n int) string { return `{"k":"` + strings.Repeat("x", n-8) + `"}` }
+	opts := Options{JSONL: true, MaxRecordBytes: limit}
+	for _, end := range []string{"\n", "\r\n", ""} {
+		for _, r := range readers {
+			input := "{\"a\":1}\n" + record(limit-1-len(end)+len(strings.TrimPrefix(end, "\r"))) + end
+			if got := framed(t, input, r.wrap, opts, 1, 2); len(got) != 2 {
+				t.Errorf("%s reader, end %q: %d records, want 2", r.name, end, len(got))
+			}
+			input = "{\"a\":1}\n" + record(limit-len(end)+len(strings.TrimPrefix(end, "\r"))) + end
+			eachErr := func() error {
+				_, err := Each(context.Background(), r.wrap(input), Options{JSONL: true, MaxRecordBytes: limit, ChunkSize: 1}, func(Chunk) error { return nil })
+				return err
+			}()
+			recordsErr := Records(r.wrap(input), opts, func([]byte) error { return nil })
+			for name, err := range map[string]error{"Each": eachErr, "Records": recordsErr} {
+				want := fmt.Sprintf("line 2: record exceeds %d bytes: ", limit)
+				if !errors.Is(err, bufio.ErrTooLong) || !strings.HasPrefix(err.Error(), want) {
+					t.Errorf("%s, %s reader, end %q: err = %v, want %q… wrapping bufio.ErrTooLong", name, r.name, end, err, want)
+				}
+			}
+		}
+	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestEachDoesNotCopyRecords pins that JSONL records alias the blocks they
+// were read into: once the pooled scanners are warm, ingesting 16 MiB of
+// short records with two workers allocates under a quarter of the input's
+// bytes (the chunks' bags and the blocks themselves), where a copy per
+// record alone would allocate more than the input.
+func TestEachDoesNotCopyRecords(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled scanners at random under -race")
+	}
+	var b strings.Builder
+	for i := 0; b.Len() < 16<<20; i++ {
+		fmt.Fprintf(&b, `{"id":%d,"name":"user-%d","active":true}`+"\n", i, i%1000)
+	}
+	input := b.String()
+	opts := Options{Workers: 2, JSONL: true}
+	ingest := func() {
+		if _, err := Each(context.Background(), strings.NewReader(input), opts, func(Chunk) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ingest()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	ingest()
+	runtime.ReadMemStats(&after)
+	allocated := after.TotalAlloc - before.TotalAlloc
+	t.Logf("Each allocated %d bytes for a %d-byte input (%.3f per byte)", allocated, len(input), float64(allocated)/float64(len(input)))
+	if limit := uint64(len(input)) / 4; allocated > limit {
+		t.Errorf("Each allocated %d bytes for a %d-byte input (limit %d); records are being copied", allocated, len(input), limit)
+	}
+}
+
+// TestEachBlocksFollowBytesRead pins that a block grows to at most
+// maxGrowth times the bytes read into it, whatever its first records
+// predict: a chunk whose first record is a long line and whose other
+// 2,047 records are short predicts a block of 2,048 long lines, yet Each
+// allocates under 12 bytes per input byte (up to 8 in the block, plus the
+// buffers it grew from and the next block), with such a chunk first in
+// the stream and after a chunk of short records.
+func TestEachBlocksFollowBytesRead(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled scanners at random under -race")
+	}
+	long := func(n int) string { return `{"pad":"` + strings.Repeat("x", n) + `"}` + "\n" }
+	short := func(n int) string {
+		var b strings.Builder
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, `{"id":%d,"name":"user-%d","active":true}`+"\n", i, i%1000)
+		}
+		return b.String()
+	}
+	for _, input := range []string{long(60_000) + short(2047), short(2048) + long(200_000) + short(2047)} {
+		ingest := func() {
+			n, err := Each(context.Background(), strings.NewReader(input), Options{Workers: 2, JSONL: true}, func(Chunk) error { return nil })
+			if err != nil || n != strings.Count(input, "\n") {
+				t.Fatalf("Each: %d records, %v", n, err)
+			}
+		}
+		ingest()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		ingest()
+		runtime.ReadMemStats(&after)
+		allocated := after.TotalAlloc - before.TotalAlloc
+		t.Logf("Each allocated %d bytes for a %d-byte input (%.2f per byte)", allocated, len(input), float64(allocated)/float64(len(input)))
+		if limit := 12 * uint64(len(input)); allocated > limit {
+			t.Errorf("Each allocated %d bytes for a %d-byte input (limit %d)", allocated, len(input), limit)
 		}
 	}
 }

@@ -50,8 +50,10 @@ func FuzzFromJSON(f *testing.F) {
 // FuzzScan is the differential test for the byte scanner: on every input
 // encoding/json accepts, the scanner must also accept and derive exactly
 // the type FromValue derives from the decoded value (same interned
-// pointer). On inputs the oracle rejects the scanner may still accept —
-// it is deliberately lenient inside numbers — but must not panic.
+// pointer), on a first scan and on a second one, which may read its
+// objects from the scanner's shape cache. On inputs the oracle rejects the
+// scanner may still accept — it is deliberately lenient inside numbers —
+// but must not panic.
 //
 // Inputs with invalid UTF-8 are exempt from the comparison: encoding/json
 // rewrites invalid bytes in strings to U+FFFD, while the scanner treats
@@ -75,6 +77,10 @@ func FuzzScan(f *testing.F) {
 		// first rejected one.
 		strings.Repeat("[", 10000) + strings.Repeat("]", 10000),
 		strings.Repeat("[", 10001) + strings.Repeat("]", 10001),
+		// One field multiset in two source orders shares a shape-cache
+		// slot; with a duplicate key the order also picks the type.
+		`{"b":1,"a":2}`, `{"a":2,"b":1}`,
+		`{"a":1,"a":"x"}`, `{"a":"x","a":1}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -103,6 +109,9 @@ func FuzzScan(f *testing.F) {
 		}
 		if got != want {
 			t.Fatalf("scanner/oracle type mismatch for %q: %v vs %v", data, got, want)
+		}
+		if again, err := FromJSON(data); err != nil || again != want {
+			t.Fatalf("second scan of %q: %v (%v), want %v", data, again, err, want)
 		}
 	})
 }

@@ -37,6 +37,12 @@ import (
 // Bag — and is never reset: released types would otherwise be re-interned
 // as fresh pointers while stale pointers to the old nodes survive,
 // silently breaking pointer equality.
+//
+// Append-only also means that one list of (key, child) fields always
+// interns to the same pointer. Each scanner relies on that to cache the
+// types of the object shapes it read last (shape in scan.go): a repeated
+// object skips the sort, the duplicate collapse and the shard lock. A
+// pooled scanner so keeps up to 256 types alive.
 
 const internShardCount = 64 // power of two; shard = hash & (count-1)
 

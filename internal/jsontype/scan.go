@@ -25,7 +25,10 @@ import (
 // closing quote, and that hash indexes the key table, which yields the
 // decoded key together with its keyHash (intern.go). So each key byte is
 // read once, and each field adds one fieldHash, built from its key's
-// hash and its child's id, to its object's intern hash.
+// hash and its child's id, to its object's intern hash. An object whose
+// fields, in source order, match the shape cache slot their hash picks
+// takes its type from the slot; only a miss sorts the fields and locks an
+// interner shard.
 //
 // The scanner validates framing only: delimiters, literals, and where
 // each string ends. It does not validate string contents — escape
@@ -42,6 +45,29 @@ type typeScanner struct {
 	keys   keyTable // raw key bytes -> decoded key and its keyHash
 	fields []Field  // shared stack for in-flight object fields
 	elems  []*Type  // shared stack for in-flight array elements
+
+	shapes [shapeSlots]shape // object shapes seen, by the top bits of their hash
+}
+
+// A scanner's shape cache is direct-mapped by the top shapeBits bits of
+// an object's field-hash sum, so it holds the last object read in each of
+// its shapeSlots slots.
+const (
+	shapeBits  = 8
+	shapeSlots = 1 << shapeBits
+)
+
+// shape is one slot of the shape cache: an object's fields in source
+// order, duplicates included, with their hash sum and the interned type
+// they make. The interner is append-only, so one source-order (key,
+// child) list always sorts, collapses (last duplicate wins) and interns to
+// the same pointer: a slot can stand in for that work on the list it
+// holds. Keys come from the key table and children from the interner, so
+// a slot never aliases input bytes.
+type shape struct {
+	hash   uint64
+	fields []Field
+	t      *Type
 }
 
 // MaxDepth bounds nesting, as encoding/json does: a value nested in 10,000
@@ -386,6 +412,10 @@ func (t *keyTable) place(e keyEntry) {
 	t.n++
 }
 
+// object scans an object. Its fields pile up on the fields stack in
+// source order while their hashes sum; a shape-cache hit on that list
+// returns its type without sorting, collapsing or locking the interner.
+//
 //jx:hotpath
 func (s *typeScanner) object(depth int) (*Type, error) {
 	if depth > MaxDepth {
@@ -400,7 +430,7 @@ func (s *typeScanner) object(depth int) (*Type, error) {
 	}
 	if s.data[s.pos] == '}' {
 		s.pos++
-		return internObject(hashFields(nil), nil, true), nil
+		return s.objectType(h, mark), nil
 	}
 	for {
 		s.skipSpace()
@@ -435,7 +465,24 @@ func (s *typeScanner) object(depth int) (*Type, error) {
 		}
 		return nil, s.errf("expected ',' or '}' in object")
 	}
+	return s.objectType(h, mark), nil
+}
+
+// objectType pops the fields of the object just read, which sit on the
+// fields stack from mark in source order with hash sum h, and returns its
+// interned type: from the shape cache, or else by sorting the fields,
+// collapsing duplicate keys and interning, after which the slot holds the
+// new shape.
+//
+//jx:hotpath
+func (s *typeScanner) objectType(h uint64, mark int) *Type {
 	seg := s.fields[mark:]
+	slot := &s.shapes[h>>(64-shapeBits)]
+	if slot.t != nil && slot.hash == h && sameFields(slot.fields, seg) {
+		s.fields = s.fields[:mark]
+		return slot.t
+	}
+	slot.hash, slot.fields = h, append(slot.fields[:0], seg...)
 	sortFieldsStable(seg)
 	// Duplicate keys: last occurrence wins, mirroring encoding/json. The
 	// stable sort keeps equal keys in source order, so collapsing runs
@@ -452,9 +499,9 @@ func (s *typeScanner) object(depth int) (*Type, error) {
 	if w < len(seg) {
 		h = hashFields(seg[:w]) // h also summed the overwritten fields
 	}
-	t := internObject(h, seg[:w], true)
+	slot.t = internObject(h, seg[:w], true)
 	s.fields = s.fields[:mark]
-	return t, nil
+	return slot.t
 }
 
 //jx:hotpath

@@ -2,6 +2,7 @@ package jsontype
 
 import (
 	"encoding/json"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -114,6 +115,55 @@ func TestScanWordBoundaries(t *testing.T) {
 		} {
 			if _, err := FromJSON([]byte(doc)); err == nil {
 				t.Errorf("unterminated %q accepted", doc)
+			}
+		}
+	}
+}
+
+// TestShapeCacheMatchesFromValue cycles 1,000 distinct object shapes
+// through FromJSON three times, each time in another key order, a third
+// of them with a duplicate key, so the order also decides which value the
+// key keeps. That is four objects per slot of the shape cache, so slots
+// are shared and evicted throughout. Each shape is scanned twice in its
+// order, then twice in the reverse order, which has the same hash and so
+// meets the first order in its slot. Every scan must intern to the pointer
+// FromValue gives for encoding/json's decoding.
+func TestShapeCacheMatchesFromValue(t *testing.T) {
+	values := []string{`1`, `"s"`, `[true,null]`, `{"c":[1],"d":null}`}
+	for cycle := 0; cycle < 3; cycle++ {
+		for i := 0; i < 1000; i++ {
+			fields := []string{
+				fmt.Sprintf(`"s%d":%s`, i, values[i%4]),
+				`"a":1`,
+				`"b":` + values[(i/4)%4],
+			}
+			if i%3 == 0 {
+				fields = append(fields, `"a":`+values[(i/12)%4])
+			}
+			for r := 0; r < i+cycle; r++ { // rotate the key order
+				fields = append(fields[1:], fields[0])
+			}
+			for order := 0; order < 2; order++ {
+				if order == 1 {
+					for l, r := 0, len(fields)-1; l < r; l, r = l+1, r-1 {
+						fields[l], fields[r] = fields[r], fields[l]
+					}
+				}
+				doc := "{" + strings.Join(fields, ",") + "}"
+				var v any
+				if err := json.Unmarshal([]byte(doc), &v); err != nil {
+					t.Fatalf("test document %q is not JSON: %v", doc, err)
+				}
+				want := MustFromValue(v)
+				for pass := 0; pass < 2; pass++ {
+					got, err := FromJSON([]byte(doc))
+					if err != nil {
+						t.Fatalf("scanner rejects %q: %v", doc, err)
+					}
+					if got != want {
+						t.Fatalf("cycle %d, pass %d: %q scans to %v, want %v", cycle, pass, doc, got, want)
+					}
+				}
 			}
 		}
 	}
