@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"jxplain/internal/entropy"
 	"jxplain/internal/jsontype"
@@ -20,33 +19,130 @@ import (
 // form).
 //
 // Nodes exist only for object and array values. A primitive occurrence is
-// counted in full by its parent — a presence count in keyCounts or a
-// length in lenCounts, plus the parent's similarity accumulator — so a
-// node of its own would hold nothing. children has no entry for a key
-// whose values were all primitive, and elems holds nil at a position that
-// only ever held primitives, so every later position keeps its index.
-// elems never ends in nil: positions are added only up to the last one
-// that needs a node, which keeps the encoding of equal statistics
-// identical whichever fold built them.
+// counted in full by its parent — a presence count in keys or a length in
+// lens, plus the parent's similarity accumulator — so a node of its own
+// would hold nothing. A key whose values were all primitive has no child,
+// and elems holds nil at a position that only ever held primitives, so
+// every later position keeps its index. elems never ends in nil:
+// positions are added only up to the last one that needs a node, which
+// keeps the encoding of equal statistics identical whichever fold built
+// them.
+//
+// Each node keeps its counters in two lists instead of maps: keys, one
+// entry per object key with its presence count and the child node of its
+// object and array values (a child key is always a counted key, so one
+// entry holds both), and lens, the array-length histogram. Nearly every
+// node of a real trie has a few keys and one or two lengths, and a fresh
+// node per record is the common case on a churning stream, so a list
+// that is scanned costs far less to build, fill and walk than a map. A
+// list that grows past indexAt entries — a root keyed by session or
+// entity ids — also keeps a key→position map. Lists are in insertion
+// order; every reader that needs an order (the encoder, the evidence
+// sums) sorts a copy.
 //
 // Node state is deliberately enumerable, not just walkable: the append*
 // helpers list every counter in a deterministic order and the set*
 // builders reconstruct a node from those lists, so the wire codec
 // round-trips a trie without reaching into representation details like
-// map layout or accumulator internals.
+// list order or accumulator internals.
 type statsTrie struct {
 	// Object-kinded statistics at this path.
-	objCount  int
-	keyCounts map[string]int
-	objSim    jsontype.SimilarityAccumulator
+	objCount int
+	keys     nodeList[string, *statsTrie]
+	objSim   jsontype.SimilarityAccumulator
 
 	// Array-kinded statistics at this path.
-	arrCount  int
-	lenCounts map[int]int
-	arrSim    jsontype.SimilarityAccumulator
+	arrCount int
+	lens     nodeList[int, struct{}]
+	arrSim   jsontype.SimilarityAccumulator
 
-	children map[string]*statsTrie // object keys with an object or array value
-	elems    []*statsTrie          // array positions; nil where no node is needed
+	elems []*statsTrie // array positions; nil where no node is needed
+}
+
+// indexAt is the longest list a node searches by scanning; a longer one
+// also keeps a key→position map. A scan finds a key faster than a map
+// does in up to about 16 keys of varied lengths, but only up to 4 or 5
+// of one length, such as generated ids (EXPERIMENTS "Performance").
+const indexAt = 8
+
+// listEntry is one entry of a node list: a key, its count, and — for an
+// object key — the child node of its object and array values (nil when
+// all were primitive). A length histogram's entries carry no child.
+type listEntry[K comparable, C any] struct {
+	child C
+	key   K
+	n     int
+}
+
+// keyStat is one object key at a node.
+type keyStat = listEntry[string, *statsTrie]
+
+// lenCount is one array length at a node.
+type lenCount = listEntry[int, struct{}]
+
+// nodeList is one of a node's counted lists, searched linearly until it
+// outgrows indexAt entries and through index after that. An entry pointer
+// from slot is valid only until the list's next insertion.
+type nodeList[K comparable, C any] struct {
+	entries []listEntry[K, C]
+	index   map[K]int // key → position in entries; nil up to indexAt entries
+}
+
+// slot returns k's entry, appending a zero one when k is new: the lookup
+// or append every counter update goes through.
+//
+//jx:hotpath
+func (l *nodeList[K, C]) slot(k K) *listEntry[K, C] {
+	if l.index != nil {
+		if i, ok := l.index[k]; ok {
+			return &l.entries[i]
+		}
+	} else {
+		for i := range l.entries {
+			if l.entries[i].key == k {
+				return &l.entries[i]
+			}
+		}
+	}
+	l.entries = append(l.entries, listEntry[K, C]{key: k})
+	i := len(l.entries) - 1
+	if l.index != nil {
+		l.index[k] = i
+	} else if i == indexAt {
+		l.reindex()
+	}
+	return &l.entries[i]
+}
+
+// reserve gives a list that has never held an entry room for n of them:
+// a node's first object, or first encoded key set, usually names every
+// key the node will see, so its list is sized once instead of grown.
+//
+//jx:hotpath
+func (l *nodeList[K, C]) reserve(n int) {
+	if l.entries == nil {
+		l.entries = make([]listEntry[K, C], 0, n)
+	}
+}
+
+// reindex builds the index of a list longer than indexAt and drops that
+// of a shorter one — after the list first outgrows indexAt, and after
+// decay removes entries.
+//
+//jx:coldpath runs once per node that outgrows indexAt, and per decay
+func (l *nodeList[K, C]) reindex() {
+	if len(l.entries) <= indexAt {
+		l.index = nil
+		return
+	}
+	if l.index == nil {
+		l.index = make(map[K]int, len(l.entries))
+	} else {
+		clear(l.index)
+	}
+	for i := range l.entries {
+		l.index[l.entries[i].key] = i
+	}
 }
 
 // newStatsTrie allocates an empty trie node.
@@ -56,15 +152,11 @@ func newStatsTrie() *statsTrie { return &statsTrie{} }
 
 //jx:hotpath
 func (t *statsTrie) child(key string) *statsTrie {
-	if t.children == nil {
-		t.children = map[string]*statsTrie{}
+	e := t.keys.slot(key)
+	if e.child == nil {
+		e.child = newStatsTrie()
 	}
-	c := t.children[key]
-	if c == nil {
-		c = newStatsTrie()
-		t.children[key] = c
-	}
-	return c
+	return e.child
 }
 
 //jx:hotpath
@@ -92,22 +184,22 @@ func (t *statsTrie) add(ty *jsontype.Type, n int) {
 	switch ty.Kind() {
 	case jsontype.KindObject:
 		t.objCount += n
-		if t.keyCounts == nil {
-			t.keyCounts = map[string]int{}
-		}
-		for _, f := range ty.Fields() {
-			t.keyCounts[f.Key] += n
+		fields := ty.Fields()
+		t.keys.reserve(len(fields))
+		for _, f := range fields {
+			e := t.keys.slot(f.Key)
+			e.n += n
 			t.objSim.Add(f.Type)
 			if hasNode(f.Type) {
-				t.child(f.Key).add(f.Type, n)
+				if e.child == nil {
+					e.child = newStatsTrie()
+				}
+				e.child.add(f.Type, n)
 			}
 		}
 	case jsontype.KindArray:
 		t.arrCount += n
-		if t.lenCounts == nil {
-			t.lenCounts = map[int]int{}
-		}
-		t.lenCounts[ty.Len()] += n
+		t.lens.slot(ty.Len()).n += n
 		for i, e := range ty.Elems() {
 			t.arrSim.Add(e)
 			if hasNode(e) {
@@ -121,76 +213,82 @@ func (t *statsTrie) add(ty *jsontype.Type, n int) {
 	}
 }
 
-// combine merges other into t (mutating t). other is consumed: its
-// maps and children may be adopted wholesale.
+// combine merges other into t (mutating t). other is consumed: t adopts
+// its child nodes where t has none, and a whole list where t's is empty.
 //
 //jx:hotpath
 //jx:monoid consuming
 func (t *statsTrie) combine(other *statsTrie) *statsTrie {
 	t.objCount += other.objCount
-	if other.keyCounts != nil {
-		if t.keyCounts == nil {
-			t.keyCounts = other.keyCounts
-		} else {
-			for k, n := range other.keyCounts {
-				t.keyCounts[k] += n
+	if len(t.keys.entries) == 0 {
+		t.keys = other.keys
+	} else {
+		for _, oe := range other.keys.entries {
+			e := t.keys.slot(oe.key)
+			e.n += oe.n
+			switch {
+			case oe.child == nil:
+			case e.child == nil:
+				e.child = oe.child
+			default:
+				e.child.combine(oe.child)
 			}
 		}
 	}
 	t.objSim.Combine(&other.objSim)
 
 	t.arrCount += other.arrCount
-	if other.lenCounts != nil {
-		if t.lenCounts == nil {
-			t.lenCounts = other.lenCounts
-		} else {
-			for l, n := range other.lenCounts {
-				t.lenCounts[l] += n
-			}
+	if len(t.lens.entries) == 0 {
+		t.lens = other.lens
+	} else {
+		for _, oe := range other.lens.entries {
+			t.lens.slot(oe.key).n += oe.n
 		}
 	}
 	t.arrSim.Combine(&other.arrSim)
 
-	for k, oc := range other.children {
-		if tc, ok := t.children[k]; ok {
-			tc.combine(oc)
-		} else {
-			t.child(k).combine(oc)
-		}
-	}
 	for i, oe := range other.elems {
-		if oe != nil {
-			t.elem(i).combine(oe)
+		switch {
+		case oe == nil:
+		case i < len(t.elems) && t.elems[i] != nil:
+			t.elems[i].combine(oe)
+		default:
+			t.attachElem(i, oe)
 		}
 	}
 	return t
 }
 
 // combineShared folds other into t while treating other's whole subtree
-// as immutable: counters are copied, never adopted. combine's
-// map-adoption shortcut is correct for Merge (the argument is consumed)
-// but must not be used where the source trie lives on — derive builds
-// wildcard merge nodes from live children, and adopting a child's map
-// there would let a later fold into the merge node silently corrupt the
-// sketch Stats was called on.
+// as immutable: counters are copied, never adopted. combine's adoption
+// shortcut is correct for Merge (the argument is consumed) but must not
+// be used where the source trie lives on — derive builds wildcard merge
+// nodes from live children, and adopting a child's list or node there
+// would let a later fold into the merge node silently corrupt the sketch
+// Stats was called on.
 //
 //jx:monoid
 func (t *statsTrie) combineShared(other *statsTrie) *statsTrie {
 	t.objCount += other.objCount
-	for k, n := range other.keyCounts {
-		t.setKeyCount(k, n)
+	t.keys.reserve(len(other.keys.entries))
+	for _, oe := range other.keys.entries {
+		e := t.keys.slot(oe.key)
+		e.n += oe.n
+		if oe.child != nil {
+			if e.child == nil {
+				e.child = newStatsTrie()
+			}
+			e.child.combineShared(oe.child)
+		}
 	}
 	t.objSim.Combine(&other.objSim)
 
 	t.arrCount += other.arrCount
-	for l, n := range other.lenCounts {
-		t.setLenCount(l, n)
+	for _, oe := range other.lens.entries {
+		t.lens.slot(oe.key).n += oe.n
 	}
 	t.arrSim.Combine(&other.arrSim)
 
-	for k, oc := range other.children {
-		t.child(k).combineShared(oc)
-	}
 	for i, oe := range other.elems {
 		if oe != nil {
 			t.elem(i).combineShared(oe)
@@ -200,51 +298,51 @@ func (t *statsTrie) combineShared(other *statsTrie) *statsTrie {
 }
 
 // decay scales every additive counter by factor (flooring) and compacts
-// the subtree: children whose counters and descendants have all decayed
-// to zero are unlinked, and trailing zeroed array positions are trimmed,
-// so paths that stopped appearing in the stream eventually release their
-// nodes instead of pinning the trie forever. The similarity accumulators
-// are left untouched — they encode a monotone constraint (a dissimilarity
-// once observed cannot be un-observed), not a frequency, so aging them
-// would claim evidence the stream never retracted.
+// the subtree: children and array positions whose counters and
+// descendants have all decayed to zero are unlinked, list entries left
+// with neither a count nor a child are dropped, and trailing unlinked
+// positions are trimmed, so paths that stopped appearing in the stream
+// eventually release their nodes instead of pinning the trie forever.
+// The similarity accumulators are left untouched — they encode a monotone
+// constraint (a dissimilarity once observed cannot be un-observed), not a
+// frequency, so aging them would claim evidence the stream never
+// retracted.
 func (t *statsTrie) decay(factor float64) {
 	t.objCount = int(float64(t.objCount) * factor)
-	for k, n := range t.keyCounts {
-		if scaled := int(float64(n) * factor); scaled > 0 {
-			t.keyCounts[k] = scaled
-		} else {
-			delete(t.keyCounts, k)
+	keys := t.keys.entries[:0]
+	for _, e := range t.keys.entries {
+		e.n = int(float64(e.n) * factor)
+		if e.child != nil {
+			e.child.decay(factor)
+			if e.child.decayedOut() {
+				e.child = nil
+			}
+		}
+		if e.n > 0 || e.child != nil {
+			keys = append(keys, e)
 		}
 	}
-	if len(t.keyCounts) == 0 {
-		t.keyCounts = nil
-	}
+	clear(t.keys.entries[len(keys):])
+	t.keys.entries = keys
 	t.arrCount = int(float64(t.arrCount) * factor)
-	for l, n := range t.lenCounts {
-		if scaled := int(float64(n) * factor); scaled > 0 {
-			t.lenCounts[l] = scaled
-		} else {
-			delete(t.lenCounts, l)
+	lens := t.lens.entries[:0]
+	for _, e := range t.lens.entries {
+		if e.n = int(float64(e.n) * factor); e.n > 0 {
+			lens = append(lens, e)
 		}
 	}
-	if len(t.lenCounts) == 0 {
-		t.lenCounts = nil
-	}
-	for k, c := range t.children {
-		c.decay(factor)
-		if c.decayedOut() {
-			delete(t.children, k)
-		}
-	}
-	if len(t.children) == 0 {
-		t.children = nil
-	}
-	for _, e := range t.elems {
+	t.lens.entries = lens
+	t.keys.reindex()
+	t.lens.reindex()
+	for i, e := range t.elems {
 		if e != nil {
 			e.decay(factor)
+			if e.decayedOut() {
+				t.elems[i] = nil
+			}
 		}
 	}
-	for n := len(t.elems); n > 0 && (t.elems[n-1] == nil || t.elems[n-1].decayedOut()); n-- {
+	for n := len(t.elems); n > 0 && t.elems[n-1] == nil; n-- {
 		t.elems = t.elems[:n-1]
 	}
 }
@@ -252,12 +350,11 @@ func (t *statsTrie) decay(factor float64) {
 // decayedOut reports whether every counter in the subtree has reached
 // zero, licensing compaction.
 func (t *statsTrie) decayedOut() bool {
-	if t.objCount != 0 || t.arrCount != 0 ||
-		len(t.keyCounts) != 0 || len(t.lenCounts) != 0 {
+	if t.objCount != 0 || t.arrCount != 0 || len(t.lens.entries) != 0 {
 		return false
 	}
-	for _, c := range t.children {
-		if !c.decayedOut() {
+	for _, e := range t.keys.entries {
+		if e.n != 0 || e.child != nil && !e.child.decayedOut() {
 			return false
 		}
 	}
@@ -273,8 +370,10 @@ func (t *statsTrie) decayedOut() bool {
 // proxy behind the flat-RSS assertions.
 func (t *statsTrie) nodeCount() int {
 	n := 1
-	for _, c := range t.children {
-		n += c.nodeCount()
+	for _, e := range t.keys.entries {
+		if e.child != nil {
+			n += e.child.nodeCount()
+		}
 	}
 	for _, e := range t.elems {
 		if e != nil {
@@ -292,17 +391,16 @@ type keyCount struct {
 	n   int
 }
 
-// lenCount is one entry of a node's array-length histogram.
-type lenCount struct {
-	length, n int
-}
-
 // appendKeyCounts appends every (key, presence count) pair to dst in
-// sorted key order and returns the extended slice.
+// sorted key order and returns the extended slice. A key counted zero
+// times — a child-only entry decoded from a file, or one decay floored —
+// is not in the key set.
 func (t *statsTrie) appendKeyCounts(dst []keyCount) []keyCount {
 	start := len(dst)
-	for k, n := range t.keyCounts {
-		dst = append(dst, keyCount{k, n})
+	for _, e := range t.keys.entries {
+		if e.n > 0 {
+			dst = append(dst, keyCount{e.key, e.n})
+		}
 	}
 	slices.SortFunc(dst[start:], func(a, b keyCount) int { return cmp.Compare(a.key, b.key) })
 	return dst
@@ -312,11 +410,28 @@ func (t *statsTrie) appendKeyCounts(dst []keyCount) []keyCount {
 // ascending length order and returns the extended slice.
 func (t *statsTrie) appendLenCounts(dst []lenCount) []lenCount {
 	start := len(dst)
-	for l, n := range t.lenCounts {
-		dst = append(dst, lenCount{l, n})
-	}
-	slices.SortFunc(dst[start:], func(a, b lenCount) int { return cmp.Compare(a.length, b.length) })
+	dst = append(dst, t.lens.entries...)
+	slices.SortFunc(dst[start:], func(a, b lenCount) int { return cmp.Compare(a.key, b.key) })
 	return dst
+}
+
+// appendChildren appends every (key, child node) pair to dst in sorted
+// key order and returns the extended slice.
+func (t *statsTrie) appendChildren(dst []childEntry) []childEntry {
+	start := len(dst)
+	for _, e := range t.keys.entries {
+		if e.child != nil {
+			dst = append(dst, childEntry{e.key, e.child})
+		}
+	}
+	slices.SortFunc(dst[start:], func(a, b childEntry) int { return cmp.Compare(a.key, b.key) })
+	return dst
+}
+
+// childEntry is one named child node.
+type childEntry struct {
+	key  string
+	node *statsTrie
 }
 
 // ---- node builders (the decode side of the wire codec) ----
@@ -325,20 +440,14 @@ func (t *statsTrie) appendLenCounts(dst []lenCount) []lenCount {
 //
 //jx:hotpath
 func (t *statsTrie) setKeyCount(key string, n int) {
-	if t.keyCounts == nil {
-		t.keyCounts = map[string]int{}
-	}
-	t.keyCounts[key] += n
+	t.keys.slot(key).n += n
 }
 
 // setLenCount records an array-length count on a node under construction.
 //
 //jx:hotpath
 func (t *statsTrie) setLenCount(length, n int) {
-	if t.lenCounts == nil {
-		t.lenCounts = map[int]int{}
-	}
-	t.lenCounts[length] += n
+	t.lens.slot(length).n += n
 }
 
 // attachElem links a subtree at array position i, padding the positions
@@ -358,9 +467,9 @@ func (t *statsTrie) attachElem(i int, c *statsTrie) {
 // matching entropy.DetectObjects bit for bit.
 func (t *statsTrie) objectEvidence() entropy.Evidence {
 	// Key order must be pinned before the float64 summation inside Entropy:
-	// FP addition is not associative, so map order would leak into the
+	// FP addition is not associative, so list order would leak into the
 	// entropy bits (and differ from entropy.DetectObjects).
-	counts := t.appendKeyCounts(make([]keyCount, 0, len(t.keyCounts)))
+	counts := t.appendKeyCounts(make([]keyCount, 0, len(t.keys.entries)))
 	weights := make([]float64, len(counts))
 	for i, kc := range counts {
 		weights[i] = float64(kc.n)
@@ -369,14 +478,14 @@ func (t *statsTrie) objectEvidence() entropy.Evidence {
 		KeyEntropy:   stats.Entropy(weights, float64(t.objCount)),
 		Similar:      t.objSim.Similar(),
 		Records:      t.objCount,
-		DistinctKeys: len(t.keyCounts),
+		DistinctKeys: len(counts),
 	}
 }
 
 // arrayEvidence renders the node's array statistics, matching
 // entropy.DetectArrays.
 func (t *statsTrie) arrayEvidence() entropy.Evidence {
-	counts := t.appendLenCounts(make([]lenCount, 0, len(t.lenCounts)))
+	counts := t.appendLenCounts(make([]lenCount, 0, len(t.lens.entries)))
 	weights := make([]float64, len(counts))
 	for i, lc := range counts {
 		weights[i] = float64(lc.n)
@@ -385,7 +494,7 @@ func (t *statsTrie) arrayEvidence() entropy.Evidence {
 		KeyEntropy:   stats.Entropy(weights, float64(t.arrCount)),
 		Similar:      t.arrSim.Similar(),
 		Records:      t.arrCount,
-		DistinctKeys: len(t.lenCounts),
+		DistinctKeys: len(counts),
 	}
 }
 
@@ -429,27 +538,23 @@ func (t *statsTrie) derive(path string, cfg Config, out *[]PathStat) {
 			Path: path, Kind: jsontype.KindObject, Decision: decision, Evidence: ev,
 		})
 		if decision == entropy.Collection {
+			// Merge in key order, so the merged node does not depend on
+			// the order in which the fold met the keys.
 			merged := newStatsTrie()
-			keys := sortedKeys(t.children)
-			for _, k := range keys {
-				merged.combineShared(t.children[k])
+			for _, c := range t.appendChildren(nil) {
+				merged.combineShared(c.node)
 			}
 			if merged.objCount > 0 || merged.arrCount > 0 {
 				merged.derive(objectValuePath(path), cfg, out)
 			}
 		} else {
-			for _, k := range sortedKeys(t.children) {
-				t.children[k].derive(childKeyPath(path, k), cfg, out)
+			// Each child emits rows under its own path, and Stats sorts
+			// them, so list order serves.
+			for _, e := range t.keys.entries {
+				if e.child != nil {
+					e.child.derive(childKeyPath(path, e.key), cfg, out)
+				}
 			}
 		}
 	}
-}
-
-func sortedKeys(m map[string]*statsTrie) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

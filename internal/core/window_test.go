@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -145,6 +146,33 @@ func TestPathSketchDecayCompacts(t *testing.T) {
 	}
 	if got := s.Nodes(); got != 1 {
 		t.Fatalf("fully decayed sketch holds %d nodes, want 1", got)
+	}
+}
+
+// Decay unlinks a decayed-out array position wherever it sits, not only
+// at the end of the element list: a dead node before a live one would
+// count in Nodes() yet vanish on the wire, which writes it as an empty
+// node.
+func TestPathSketchDecayDropsInnerElems(t *testing.T) {
+	s := NewPathSketch()
+	s.AddN(ty(t, `{"a":[{"x":1},{"y":1}]}`), 4)
+	for round := 0; round < 6; round++ {
+		s.AddN(ty(t, `{"a":[1,{"y":1}]}`), 8)
+		s.Decay(0.5)
+	}
+	// The root, a and a[1]; every counter of a[0] has decayed to zero.
+	if got := s.Nodes(); got != 3 {
+		t.Errorf("decayed sketch holds %d nodes, want 3", got)
+	}
+	decoded, err := UnmarshalPathSketch(mustMarshalSketch(t, s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if decoded.Nodes() != s.Nodes() {
+		t.Errorf("decoded sketch holds %d nodes, the decayed one %d", decoded.Nodes(), s.Nodes())
+	}
+	if !reflect.DeepEqual(decoded.Stats(Default()), s.Stats(Default())) {
+		t.Error("decoded stats diverge from the decayed sketch")
 	}
 }
 

@@ -178,12 +178,6 @@ type sketchEncoder struct {
 	lenCounts []lenCount
 }
 
-// childEntry is one named child on the encoder's stack.
-type childEntry struct {
-	key  string
-	node *statsTrie
-}
-
 // idCount is one key-presence count under its dictionary id.
 type idCount struct {
 	id, n int
@@ -270,17 +264,14 @@ func (e *sketchEncoder) appendNode(buf []byte, t *statsTrie) []byte {
 		e.lenCounts = t.appendLenCounts(e.lenCounts[:0])
 		buf = binary.AppendUvarint(buf, uint64(len(e.lenCounts)))
 		for _, lc := range e.lenCounts {
-			buf = binary.AppendUvarint(buf, uint64(lc.length))
+			buf = binary.AppendUvarint(buf, uint64(lc.key))
 			buf = binary.AppendUvarint(buf, uint64(lc.n))
 		}
 		buf = e.appendSim(buf, &t.arrSim)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(t.children)))
 	base := len(e.children)
-	for k, c := range t.children {
-		e.children = append(e.children, childEntry{k, c})
-	}
-	slices.SortFunc(e.children[base:], func(a, b childEntry) int { return cmp.Compare(a.key, b.key) })
+	e.children = t.appendChildren(e.children)
+	buf = binary.AppendUvarint(buf, uint64(len(e.children)-base))
 	for i := base; i < len(e.children); i++ {
 		// Index, not range: the recursion may grow (and move) the stack.
 		c := e.children[i]
@@ -951,6 +942,9 @@ func (d *sketchDecoder) mergeNode(t *statsTrie, depth int) error {
 		d.setScratch = set
 		if len(set) > 0 && set[len(set)-1] == 0 {
 			return d.bitsetErr()
+		}
+		if k := set.Len(); k <= len(d.data)-d.pos {
+			t.keys.reserve(k) // each key's presence count takes a byte at least
 		}
 		var countErr error
 		set.Each(func(id int) {

@@ -168,6 +168,7 @@ func run(pass *jxanalysis.Pass) error {
 // hot-path function: tagged in this unit or a dependency (AllocFree /
 // ColdPath fact), or on the intrinsic allowlist.
 func qualified(pass *jxanalysis.Pass, fn *types.Func) bool {
+	fn = fn.Origin() // an instantiation carries its declaration's tag
 	if pass.ImportObjectFact(fn, &AllocFree{}) || pass.ImportObjectFact(fn, &ColdPath{}) {
 		return true
 	}

@@ -668,12 +668,14 @@ func (c *checker) funcObj(fd *ast.FuncDecl) *types.Func {
 }
 
 // calleeFunc statically resolves a call's target, skipping interface
-// methods (dynamic dispatch has no single summary).
+// methods (dynamic dispatch has no single summary). A generic function or
+// a method of a generic type resolves to its declaration, which carries
+// the facts.
 func calleeFunc(pass *jxanalysis.Pass, call *ast.CallExpr) *types.Func {
+	var fn *types.Func
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		fn, _ := pass.TypesInfo.Uses[fun].(*types.Func)
-		return fn
+		fn, _ = pass.TypesInfo.Uses[fun].(*types.Func)
 	case *ast.SelectorExpr:
 		if s, ok := pass.TypesInfo.Selections[fun]; ok {
 			if s.Kind() != types.MethodVal {
@@ -682,13 +684,15 @@ func calleeFunc(pass *jxanalysis.Pass, call *ast.CallExpr) *types.Func {
 			if _, isIface := types.Unalias(s.Recv()).Underlying().(*types.Interface); isIface {
 				return nil
 			}
-			fn, _ := s.Obj().(*types.Func)
-			return fn
+			fn, _ = s.Obj().(*types.Func)
+		} else {
+			fn, _ = pass.TypesInfo.Uses[fun.Sel].(*types.Func)
 		}
-		fn, _ := pass.TypesInfo.Uses[fun.Sel].(*types.Func)
-		return fn
 	}
-	return nil
+	if fn == nil {
+		return nil
+	}
+	return fn.Origin()
 }
 
 // inspect walks n in source order, skipping nested function literals

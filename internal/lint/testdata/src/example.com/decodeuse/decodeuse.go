@@ -102,6 +102,21 @@ func allocRemote(data []byte) []byte {
 	return wirelib.Alloc(int(v)) // want `unguarded wire-derived value v passed to Alloc, which uses parameter 0 as an allocation size or loop bound`
 }
 
+// buf is a generic list whose reserve sizes an allocation from its
+// parameter.
+type buf[T any] struct{ items []T }
+
+func (b *buf[T]) reserve(n int) { // want-fact TaintedParam
+	b.items = make([]T, 0, n)
+}
+
+// reserveRaw hands a raw count to a method of an instantiated generic
+// type: the instantiation carries its declaration's fact.
+func reserveRaw(data []byte, b *buf[string]) {
+	v, _ := binary.Uvarint(data)
+	b.reserve(int(v)) // want `unguarded wire-derived value v passed to reserve`
+}
+
 // decoder mirrors core/wire.go's sketchDecoder shape.
 type decoder struct {
 	data []byte

@@ -162,3 +162,20 @@ func gmax[T int | int64](a, b T) T {
 //
 //jx:hotpath
 func useGeneric(a, b int) int { return gmax[int](a, b) }
+
+// stack is a generic type with one hot and one untagged method.
+type stack[T any] struct{ items []T }
+
+//jx:hotpath
+func (s *stack[T]) push(x T) { s.items = append(s.items, x) }
+
+func (s *stack[T]) grow(n int) { s.items = make([]T, 0, n) }
+
+// useGenericMethods calls methods of an instantiated generic type: the
+// instantiation carries its declaration's tag, or its lack of one.
+//
+//jx:hotpath
+func useGenericMethods(s *stack[int]) {
+	s.push(1)
+	s.grow(4) // want `hot-path function useGenericMethods calls grow`
+}

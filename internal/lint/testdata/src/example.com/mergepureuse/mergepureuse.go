@@ -99,6 +99,23 @@ func (m *Mut2) Merge(other *Mut2) {
 	other.reset() // want `monoid merge passes its operand to reset, which mutates it \(tag //jx:monoid consuming if ownership transfer is intended\)`
 }
 
+// counts is a generic list whose method writes through its receiver.
+type counts[K comparable] struct{ keys []K }
+
+// add appends to the receiver's list.
+func (c *counts[K]) add(k K) { // want-fact MutatesParam
+	c.keys = append(c.keys, k)
+}
+
+// Mut3 mutates through a method of an instantiated generic type.
+type Mut3 struct{ c counts[string] }
+
+// Merge hands a field of the operand to the mutating generic method.
+func (m *Mut3) Merge(other *Mut3) {
+	m.c.add("x")
+	other.c.add("x") // want `monoid merge passes its operand to add, which mutates it \(tag //jx:monoid consuming if ownership transfer is intended\)`
+}
+
 // Adopt aliases its operand's buffer.
 type Adopt struct{ buf []byte }
 
