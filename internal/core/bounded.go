@@ -11,9 +11,9 @@ import (
 //     record types (jsontype.ReservoirBag), so pass ②/③ synthesis runs
 //     over at most ReservoirCapacity types;
 //   - the cumulative pass-① sketch becomes a live epoch plus a ring of
-//     serialized closed windows (sketchRing), so detection statistics
-//     cover the recent horizon and trie memory is bounded by the
-//     horizon's distinct structure;
+//     closed, read-only window tries (sketchRing), so detection
+//     statistics cover the recent horizon and trie memory is bounded by
+//     the horizon's distinct structure;
 //
 // with optional exponential decay aging both at every rotation. The
 // remaining unbounded term is the global type interner, which is
@@ -39,16 +39,15 @@ func (a *Accumulator) advance(n int) {
 	}
 }
 
-// rotate closes the current epoch: with a ring, the live sketch is
-// serialized, pushed (evicting the oldest window beyond the width), and
-// replaced by a fresh epoch; without one, decay ages the live sketch in
-// place. The reservoir decays on every rotation when a factor is set.
+// rotate closes the current epoch: with a ring, the live sketch itself is
+// pushed (evicting the oldest window beyond the width) and replaced by a
+// fresh epoch; without one, decay ages the live sketch in place. The
+// reservoir decays on every rotation when a factor is set.
 func (a *Accumulator) rotate() {
 	b := a.cfg.Bounds
 	if a.ring != nil {
 		closed := a.sketch
-		data, _ := closed.Marshal() // in-memory encode; the error leg is vestigial
-		a.ring.push(data)
+		a.ring.push(closed)
 		a.sketch = NewPathSketch()
 		if a.onWindowClose != nil {
 			a.onWindowClose(a.ring.closed-1, closed.Records(), closed)
@@ -63,10 +62,11 @@ func (a *Accumulator) rotate() {
 
 // OnWindowClose registers a hook called at every ring rotation with the
 // window's index (0-based, monotone), its record count, and the closed
-// epoch's sketch. The sketch is detached — the accumulator keeps only its
-// serialized form — so the hook may derive statistics from it (e.g. a
-// windowed drift diff) at leisure, but must not fold more records in.
-// Only ring-configured accumulators rotate windows.
+// epoch's sketch. The sketch is the ring's own window and is read-only:
+// the hook may derive statistics from it (e.g. a windowed drift diff) or
+// Marshal it, now or later, but must not Add, Merge or Decay it — the
+// accumulator folds it into every rollup until it leaves the ring. Only
+// ring-configured accumulators rotate windows.
 func (a *Accumulator) OnWindowClose(fn func(index, records int, sketch *PathSketch)) {
 	a.onWindowClose = fn
 }
@@ -88,13 +88,7 @@ func (a *Accumulator) statsSketch() *PathSketch {
 	if a.ring == nil {
 		return a.sketch
 	}
-	merged, err := a.ring.rollup(a.sketch)
-	if err != nil {
-		// The ring holds only bytes this process serialized itself; a
-		// decode failure is memory corruption, not an input condition.
-		panic("core: corrupt self-serialized window: " + err.Error())
-	}
-	return merged
+	return a.ring.rollup(a.sketch)
 }
 
 // Reservoir exposes the bounded union's counters (seen, retained,
@@ -111,10 +105,10 @@ func (a *Accumulator) WindowsClosed() int {
 }
 
 // SketchNodes returns the trie node count of the state pass ① would read
-// right now — live sketch plus retained windows decoded — which is the
-// memory proxy TestDecayBoundsChurnTrie asserts on and the bench trace
-// reports as core.sketch_nodes. 0 for sampling configurations that keep
-// no sketch.
+// right now — the rollup of the retained windows and the live sketch —
+// which is the memory proxy TestDecayBoundsChurnTrie asserts on and the
+// bench trace reports as core.sketch_nodes. 0 for sampling configurations
+// that keep no sketch.
 func (a *Accumulator) SketchNodes() int {
 	if a.sketch == nil {
 		return 0

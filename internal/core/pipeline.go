@@ -132,10 +132,11 @@ func (a *Accumulator) AddBag(chunk *jsontype.Bag) {
 //
 // Bounded accumulators merge too — reservoirs combine through their own
 // seed-deterministic batch merge (same capacity and seed required), live
-// epochs fold trie-to-trie, and other's closed windows are adopted as
-// a's most recent (shards carry no global window order, so any adoption
-// order is an alignment approximation). A bounded a folds an unbounded
-// other through the reservoir; the converse snapshots other's reservoir.
+// epochs fold trie-to-trie, and other's closed window tries are adopted,
+// without a copy, as a's most recent (shards carry no global window
+// order, so any adoption order is an alignment approximation). A bounded
+// a folds an unbounded other through the reservoir; the converse
+// snapshots other's reservoir.
 //
 //jx:monoid consuming
 func (a *Accumulator) Merge(other *Accumulator) {

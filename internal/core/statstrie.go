@@ -40,6 +40,15 @@ import (
 // order; every reader that needs an order (the encoder, the evidence
 // sums) sorts a copy.
 //
+// A node's array statistics — its count, length histogram, similarity
+// accumulator and element nodes — sit in an arrayStats block behind one
+// pointer that stays nil until the node first holds an array. Most nodes
+// of a real trie are objects only, and on a churning stream a closed
+// window keeps thousands of them alive, so an object-only node is a
+// 64-byte allocation instead of a 144-byte one. The encoder writes a nil
+// block as an array count of 0 and no elements, the bytes a zeroed block
+// gives, so the wire form does not depend on whether the block exists.
+//
 // Node state is deliberately enumerable, not just walkable: the append*
 // helpers list every counter in a deterministic order and the set*
 // builders reconstruct a node from those lists, so the wire codec
@@ -51,10 +60,14 @@ type statsTrie struct {
 	keys     nodeList[string, *statsTrie]
 	objSim   jsontype.SimilarityAccumulator
 
-	// Array-kinded statistics at this path.
-	arrCount int
-	lens     nodeList[int, struct{}]
-	arrSim   jsontype.SimilarityAccumulator
+	arr *arrayStats // array-kinded statistics; nil until the first array
+}
+
+// arrayStats is a node's array-kinded statistics.
+type arrayStats struct {
+	count int
+	lens  nodeList[int, struct{}]
+	sim   jsontype.SimilarityAccumulator
 
 	elems []*statsTrie // array positions; nil where no node is needed
 }
@@ -150,6 +163,29 @@ func (l *nodeList[K, C]) reindex() {
 //jx:coldpath allocates once per newly observed path node, not per record
 func newStatsTrie() *statsTrie { return &statsTrie{} }
 
+// newArrayStats allocates an empty array block.
+//
+//jx:coldpath allocates once per path node that holds an array, not per record
+func newArrayStats() *arrayStats { return &arrayStats{} }
+
+// arrays returns the node's array block, allocating it on first use.
+//
+//jx:hotpath
+func (t *statsTrie) arrays() *arrayStats {
+	if t.arr == nil {
+		t.arr = newArrayStats()
+	}
+	return t.arr
+}
+
+// arrCount returns the number of array occurrences at the node.
+func (t *statsTrie) arrCount() int {
+	if t.arr == nil {
+		return 0
+	}
+	return t.arr.count
+}
+
 //jx:hotpath
 func (t *statsTrie) child(key string) *statsTrie {
 	e := t.keys.slot(key)
@@ -160,11 +196,11 @@ func (t *statsTrie) child(key string) *statsTrie {
 }
 
 //jx:hotpath
-func (t *statsTrie) elem(i int) *statsTrie {
-	if i >= len(t.elems) || t.elems[i] == nil {
-		t.attachElem(i, newStatsTrie())
+func (a *arrayStats) elem(i int) *statsTrie {
+	if i >= len(a.elems) || a.elems[i] == nil {
+		a.attachElem(i, newStatsTrie())
 	}
-	return t.elems[i]
+	return a.elems[i]
 }
 
 // hasNode reports whether a value of type ty gets a trie node of its own:
@@ -198,12 +234,13 @@ func (t *statsTrie) add(ty *jsontype.Type, n int) {
 			}
 		}
 	case jsontype.KindArray:
-		t.arrCount += n
-		t.lens.slot(ty.Len()).n += n
+		a := t.arrays()
+		a.count += n
+		a.lens.slot(ty.Len()).n += n
 		for i, e := range ty.Elems() {
-			t.arrSim.Add(e)
+			a.sim.Add(e)
 			if hasNode(e) {
-				t.elem(i).add(e, n)
+				a.elem(i).add(e, n)
 			}
 		}
 	default:
@@ -214,7 +251,8 @@ func (t *statsTrie) add(ty *jsontype.Type, n int) {
 }
 
 // combine merges other into t (mutating t). other is consumed: t adopts
-// its child nodes where t has none, and a whole list where t's is empty.
+// its child nodes where t has none, a whole list where t's is empty, and
+// the whole array block where t has none.
 //
 //jx:hotpath
 //jx:monoid consuming
@@ -237,26 +275,40 @@ func (t *statsTrie) combine(other *statsTrie) *statsTrie {
 	}
 	t.objSim.Combine(&other.objSim)
 
-	t.arrCount += other.arrCount
-	if len(t.lens.entries) == 0 {
-		t.lens = other.lens
-	} else {
-		for _, oe := range other.lens.entries {
-			t.lens.slot(oe.key).n += oe.n
+	if oa := other.arr; oa != nil {
+		if t.arr == nil {
+			t.arr = oa
+		} else {
+			t.arr.combine(oa)
 		}
 	}
-	t.arrSim.Combine(&other.arrSim)
+	return t
+}
+
+// combine merges other into a, consuming other like statsTrie.combine.
+//
+//jx:hotpath
+//jx:monoid consuming
+func (a *arrayStats) combine(other *arrayStats) {
+	a.count += other.count
+	if len(a.lens.entries) == 0 {
+		a.lens = other.lens
+	} else {
+		for _, oe := range other.lens.entries {
+			a.lens.slot(oe.key).n += oe.n
+		}
+	}
+	a.sim.Combine(&other.sim)
 
 	for i, oe := range other.elems {
 		switch {
 		case oe == nil:
-		case i < len(t.elems) && t.elems[i] != nil:
-			t.elems[i].combine(oe)
+		case i < len(a.elems) && a.elems[i] != nil:
+			a.elems[i].combine(oe)
 		default:
-			t.attachElem(i, oe)
+			a.attachElem(i, oe)
 		}
 	}
-	return t
 }
 
 // combineShared folds other into t while treating other's whole subtree
@@ -283,15 +335,17 @@ func (t *statsTrie) combineShared(other *statsTrie) *statsTrie {
 	}
 	t.objSim.Combine(&other.objSim)
 
-	t.arrCount += other.arrCount
-	for _, oe := range other.lens.entries {
-		t.lens.slot(oe.key).n += oe.n
-	}
-	t.arrSim.Combine(&other.arrSim)
-
-	for i, oe := range other.elems {
-		if oe != nil {
-			t.elem(i).combineShared(oe)
+	if oa := other.arr; oa != nil {
+		a := t.arrays()
+		a.count += oa.count
+		for _, oe := range oa.lens.entries {
+			a.lens.slot(oe.key).n += oe.n
+		}
+		a.sim.Combine(&oa.sim)
+		for i, oe := range oa.elems {
+			if oe != nil {
+				a.elem(i).combineShared(oe)
+			}
 		}
 	}
 	return t
@@ -324,33 +378,35 @@ func (t *statsTrie) decay(factor float64) {
 	}
 	clear(t.keys.entries[len(keys):])
 	t.keys.entries = keys
-	t.arrCount = int(float64(t.arrCount) * factor)
-	lens := t.lens.entries[:0]
-	for _, e := range t.lens.entries {
-		if e.n = int(float64(e.n) * factor); e.n > 0 {
-			lens = append(lens, e)
-		}
-	}
-	t.lens.entries = lens
 	t.keys.reindex()
-	t.lens.reindex()
-	for i, e := range t.elems {
-		if e != nil {
-			e.decay(factor)
-			if e.decayedOut() {
-				t.elems[i] = nil
+	if a := t.arr; a != nil {
+		a.count = int(float64(a.count) * factor)
+		lens := a.lens.entries[:0]
+		for _, e := range a.lens.entries {
+			if e.n = int(float64(e.n) * factor); e.n > 0 {
+				lens = append(lens, e)
 			}
 		}
-	}
-	for n := len(t.elems); n > 0 && t.elems[n-1] == nil; n-- {
-		t.elems = t.elems[:n-1]
+		a.lens.entries = lens
+		a.lens.reindex()
+		for i, e := range a.elems {
+			if e != nil {
+				e.decay(factor)
+				if e.decayedOut() {
+					a.elems[i] = nil
+				}
+			}
+		}
+		for n := len(a.elems); n > 0 && a.elems[n-1] == nil; n-- {
+			a.elems = a.elems[:n-1]
+		}
 	}
 }
 
 // decayedOut reports whether every counter in the subtree has reached
 // zero, licensing compaction.
 func (t *statsTrie) decayedOut() bool {
-	if t.objCount != 0 || t.arrCount != 0 || len(t.lens.entries) != 0 {
+	if t.objCount != 0 {
 		return false
 	}
 	for _, e := range t.keys.entries {
@@ -358,9 +414,14 @@ func (t *statsTrie) decayedOut() bool {
 			return false
 		}
 	}
-	for _, e := range t.elems {
-		if e != nil && !e.decayedOut() {
+	if a := t.arr; a != nil {
+		if a.count != 0 || len(a.lens.entries) != 0 {
 			return false
+		}
+		for _, e := range a.elems {
+			if e != nil && !e.decayedOut() {
+				return false
+			}
 		}
 	}
 	return true
@@ -375,12 +436,41 @@ func (t *statsTrie) nodeCount() int {
 			n += e.child.nodeCount()
 		}
 	}
-	for _, e := range t.elems {
+	for _, e := range t.elemNodes() {
 		if e != nil {
 			n += e.nodeCount()
 		}
 	}
 	return n
+}
+
+// dropIndexes drops every list index in the subtree. A closed window is
+// read-only — folds read its lists in order and never look a key up — so
+// an index would only hold memory while the window sits in the ring.
+func (t *statsTrie) dropIndexes() {
+	t.keys.index = nil
+	for _, e := range t.keys.entries {
+		if e.child != nil {
+			e.child.dropIndexes()
+		}
+	}
+	if a := t.arr; a != nil {
+		a.lens.index = nil
+		for _, e := range a.elems {
+			if e != nil {
+				e.dropIndexes()
+			}
+		}
+	}
+}
+
+// elemNodes returns the node's array positions (nil without an array
+// block).
+func (t *statsTrie) elemNodes() []*statsTrie {
+	if t.arr == nil {
+		return nil
+	}
+	return t.arr.elems
 }
 
 // ---- enumerable node state (the encode side of the wire codec) ----
@@ -408,9 +498,9 @@ func (t *statsTrie) appendKeyCounts(dst []keyCount) []keyCount {
 
 // appendLenCounts appends every (array length, count) pair to dst in
 // ascending length order and returns the extended slice.
-func (t *statsTrie) appendLenCounts(dst []lenCount) []lenCount {
+func (a *arrayStats) appendLenCounts(dst []lenCount) []lenCount {
 	start := len(dst)
-	dst = append(dst, t.lens.entries...)
+	dst = append(dst, a.lens.entries...)
 	slices.SortFunc(dst[start:], func(a, b lenCount) int { return cmp.Compare(a.key, b.key) })
 	return dst
 }
@@ -446,19 +536,19 @@ func (t *statsTrie) setKeyCount(key string, n int) {
 // setLenCount records an array-length count on a node under construction.
 //
 //jx:hotpath
-func (t *statsTrie) setLenCount(length, n int) {
-	t.lens.slot(length).n += n
+func (a *arrayStats) setLenCount(length, n int) {
+	a.lens.slot(length).n += n
 }
 
 // attachElem links a subtree at array position i, padding the positions
 // before it with nil.
 //
 //jx:hotpath
-func (t *statsTrie) attachElem(i int, c *statsTrie) {
-	for len(t.elems) <= i {
-		t.elems = append(t.elems, nil)
+func (a *arrayStats) attachElem(i int, c *statsTrie) {
+	for len(a.elems) <= i {
+		a.elems = append(a.elems, nil)
 	}
-	t.elems[i] = c
+	a.elems[i] = c
 }
 
 // ---- evidence derivation ----
@@ -484,16 +574,16 @@ func (t *statsTrie) objectEvidence() entropy.Evidence {
 
 // arrayEvidence renders the node's array statistics, matching
 // entropy.DetectArrays.
-func (t *statsTrie) arrayEvidence() entropy.Evidence {
-	counts := t.appendLenCounts(make([]lenCount, 0, len(t.lens.entries)))
+func (a *arrayStats) arrayEvidence() entropy.Evidence {
+	counts := a.appendLenCounts(make([]lenCount, 0, len(a.lens.entries)))
 	weights := make([]float64, len(counts))
 	for i, lc := range counts {
 		weights[i] = float64(lc.n)
 	}
 	return entropy.Evidence{
-		KeyEntropy:   stats.Entropy(weights, float64(t.arrCount)),
-		Similar:      t.arrSim.Similar(),
-		Records:      t.arrCount,
+		KeyEntropy:   stats.Entropy(weights, float64(a.count)),
+		Similar:      a.sim.Similar(),
+		Records:      a.count,
 		DistinctKeys: len(counts),
 	}
 }
@@ -501,8 +591,8 @@ func (t *statsTrie) arrayEvidence() entropy.Evidence {
 // derive walks the aggregated trie top-down, emitting the same PathStat
 // rows the sequential CollectPathStats produces.
 func (t *statsTrie) derive(path string, cfg Config, out *[]PathStat) {
-	if t.arrCount > 0 {
-		ev := t.arrayEvidence()
+	if a := t.arr; a != nil && a.count > 0 {
+		ev := a.arrayEvidence()
 		decision := entropy.Decide(ev, cfg.Detection)
 		if !cfg.DetectArrayTuples {
 			decision = entropy.Collection
@@ -512,16 +602,16 @@ func (t *statsTrie) derive(path string, cfg Config, out *[]PathStat) {
 		})
 		if decision == entropy.Collection {
 			merged := newStatsTrie()
-			for _, e := range t.elems {
+			for _, e := range a.elems {
 				if e != nil {
 					merged.combineShared(e)
 				}
 			}
-			if merged.objCount > 0 || merged.arrCount > 0 {
+			if merged.objCount > 0 || merged.arrCount() > 0 {
 				merged.derive(arrayElemPath(path), cfg, out)
 			}
 		} else {
-			for i, e := range t.elems {
+			for i, e := range a.elems {
 				if e != nil {
 					e.derive(arrayIndexPath(path, i), cfg, out)
 				}
@@ -544,7 +634,7 @@ func (t *statsTrie) derive(path string, cfg Config, out *[]PathStat) {
 			for _, c := range t.appendChildren(nil) {
 				merged.combineShared(c.node)
 			}
-			if merged.objCount > 0 || merged.arrCount > 0 {
+			if merged.objCount > 0 || merged.arrCount() > 0 {
 				merged.derive(objectValuePath(path), cfg, out)
 			}
 		} else {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -294,57 +293,20 @@ func TestBoundedDecisionAgreementOnRegistry(t *testing.T) {
 	}
 }
 
-// ReducePathSketches must reproduce the sequential fold of the decoded
-// sketches.
-func TestReducePathSketchesMatchesSequential(t *testing.T) {
-	chunks := lawSketchChunks()
-	var files [][]byte
-	seq := NewPathSketch()
-	for _, chunk := range chunks {
-		s := sketchOf(chunk)
-		data, err := s.Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		files = append(files, data)
-		seq.Merge(sketchOf(chunk))
-	}
-	got, err := ReducePathSketches(files)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameSketch(t, got, seq)
-}
-
-func TestReducePathSketchesEmptyAndCorrupt(t *testing.T) {
-	empty, err := ReducePathSketches(nil)
-	if err != nil || empty.Records() != 0 {
-		t.Fatalf("empty reduce: %v, records=%d", err, empty.Records())
-	}
-	good, err := sketchOf(lawSketchChunks()[0]).Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = ReducePathSketches([][]byte{good, good, []byte("garbage")})
-	var merr *SketchMergeError
-	if !errors.As(err, &merr) || merr.Index != 2 {
-		t.Fatalf("want *SketchMergeError{Index: 2}, got %v", err)
-	}
-}
-
 // raceEnabled is set under the race detector (race_test.go), which makes
 // sync.Pool drop a random share of the values put back, so allocation
 // counts mean nothing there.
 var raceEnabled bool
 
-// TestReducePathSketchesAllocsNoWorseThanDecodingEach pins the ring
-// rollup's cost: folding four 1,000-record churn windows into one sketch
-// allocates no more than decoding each window on its own, because a node
-// the windows share is allocated once and never copied.
-func TestReducePathSketchesAllocsNoWorseThanDecodingEach(t *testing.T) {
+// TestRollupAllocsNoWorseThanDecodingEach pins the ring rollup's cost:
+// folding four 1,000-record churn windows into one sketch allocates no
+// more than decoding each window's bytes on its own, because a node the
+// windows share is allocated once and never copied.
+func TestRollupAllocsNoWorseThanDecodingEach(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops pooled decoders at random under -race")
 	}
+	ring := newSketchRing(4)
 	files := make([][]byte, 4)
 	for w := range files {
 		s := NewPathSketch()
@@ -352,12 +314,9 @@ func TestReducePathSketchesAllocsNoWorseThanDecodingEach(t *testing.T) {
 			s.Add(churnRec(t, i))
 		}
 		files[w] = mustMarshalSketch(t, s)
+		ring.push(s)
 	}
-	reduce := testing.AllocsPerRun(5, func() {
-		if _, err := ReducePathSketches(files); err != nil {
-			t.Fatal(err)
-		}
-	})
+	rollup := testing.AllocsPerRun(5, func() { ring.rollup(nil) })
 	each := testing.AllocsPerRun(5, func() {
 		for _, data := range files {
 			if _, err := UnmarshalPathSketch(data); err != nil {
@@ -365,8 +324,119 @@ func TestReducePathSketchesAllocsNoWorseThanDecodingEach(t *testing.T) {
 			}
 		}
 	})
-	if reduce > each {
-		t.Errorf("ReducePathSketches allocates more than decoding each window: %.0f vs %.0f allocs/op", reduce, each)
+	t.Logf("rollup of four churn windows: %.0f allocs/op; decoding each: %.0f", rollup, each)
+	if rollup > each {
+		t.Errorf("rollup allocates more than decoding each window: %.0f vs %.0f allocs/op", rollup, each)
+	}
+}
+
+// windowFiles records the encoding of every window an accumulator closes,
+// the form the ring once kept them in.
+func windowFiles(t *testing.T, acc *Accumulator) *[][]byte {
+	files := new([][]byte)
+	acc.OnWindowClose(func(_, _ int, s *PathSketch) {
+		*files = append(*files, mustMarshalSketch(t, s))
+	})
+	return files
+}
+
+// serializedRollup is the rollup computed from encoded windows: the last
+// width files decoded in order and merged, then each live epoch folded in
+// through its own encoding, so no live sketch is consumed.
+func serializedRollup(t *testing.T, files [][]byte, width int, live ...*PathSketch) *PathSketch {
+	t.Helper()
+	merged := NewPathSketch()
+	for _, data := range files[max(0, len(files)-width):] {
+		s, err := UnmarshalPathSketch(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged.Merge(s)
+	}
+	for _, s := range live {
+		copied, err := UnmarshalPathSketch(mustMarshalSketch(t, s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged.Merge(copied)
+	}
+	return merged
+}
+
+// requireRollupMatches checks that the accumulator's rollup carries the
+// statistics, record count and encoding of the reference.
+func requireRollupMatches(t *testing.T, acc *Accumulator, want *PathSketch) {
+	t.Helper()
+	got := acc.statsSketch()
+	if got.Records() != want.Records() {
+		t.Fatalf("rollup records %d, reference %d", got.Records(), want.Records())
+	}
+	if !reflect.DeepEqual(acc.Stats(), want.Stats(acc.cfg)) {
+		t.Fatal("rollup stats diverge from the decoded windows")
+	}
+	if !bytes.Equal(mustMarshalSketch(t, got), mustMarshalSketch(t, want)) {
+		t.Fatal("rollup encodes differently from the decoded windows")
+	}
+}
+
+// TestRingMatchesSerializedWindows pins the ring of window tries against
+// the encoded windows it replaced: under bounds that rotate, Stats equals
+// decoding the last WindowCount closed windows in order, merging them and
+// folding in the live epoch — on the churn shape and every generator, and
+// after two bounded accumulators merge, where the ring adopts the other's
+// windows as its most recent.
+func TestRingMatchesSerializedWindows(t *testing.T) {
+	type stream struct {
+		name   string
+		window int
+		types  []*jsontype.Type
+	}
+	var churn []*jsontype.Type
+	for i := 0; i < 9000; i++ {
+		churn = append(churn, churnRec(t, i))
+	}
+	streams := []stream{{"churn", 1000, churn}, {"churn-100", 100, churn[:1500]}}
+	for _, g := range dataset.Registry() {
+		streams = append(streams, stream{g.Name, 150, dataset.Types(g.Generate(1000, 1))})
+	}
+	for _, st := range streams {
+		t.Run(st.name, func(t *testing.T) {
+			cfg := boundsConfig(Bounds{
+				ReservoirCapacity: 64,
+				WindowRecords:     st.window,
+				WindowCount:       4,
+				DecayFactor:       0.5,
+			})
+			// Chunks of a third of a window, so rotation also runs
+			// through AddBag.
+			feed := func(acc *Accumulator, types []*jsontype.Type) {
+				chunk := &jsontype.Bag{}
+				for i, typ := range types {
+					chunk.Add(typ)
+					if chunk.Len() == max(1, st.window/3) || i == len(types)-1 {
+						acc.AddBag(chunk)
+						chunk = &jsontype.Bag{}
+					}
+				}
+			}
+
+			acc := NewAccumulator(cfg)
+			files := windowFiles(t, acc)
+			feed(acc, st.types)
+			if len(*files) <= cfg.Bounds.WindowCount {
+				t.Fatalf("%d windows closed; the ring never evicted", len(*files))
+			}
+			requireRollupMatches(t, acc, serializedRollup(t, *files, cfg.Bounds.WindowCount, acc.sketch))
+
+			half := len(st.types) / 2
+			a, b := NewAccumulator(cfg), NewAccumulator(cfg)
+			filesA, filesB := windowFiles(t, a), windowFiles(t, b)
+			feed(a, st.types[:half])
+			feed(b, st.types[half:])
+			want := serializedRollup(t, append(*filesA, *filesB...), cfg.Bounds.WindowCount, a.sketch, b.sketch)
+			a.Merge(b)
+			requireRollupMatches(t, a, want)
+		})
 	}
 }
 

@@ -74,8 +74,8 @@ import (
 //
 // There is one decoder, mergeSketchFile, and it folds a file into a
 // caller-given bag and sketch; every entry point (UnmarshalPathSketch,
-// UnmarshalAccumulator, MergeSketch, ReducePathSketches) is that walk
-// with a different destination.
+// UnmarshalAccumulator, MergeSketch, MergeSketches) is that walk with a
+// different destination.
 
 // sketchMagic brands every sketch file.
 const sketchMagic = "JXSK"
@@ -259,15 +259,15 @@ func (e *sketchEncoder) appendNode(buf []byte, t *statsTrie) []byte {
 		buf = e.appendKeySet(buf, t)
 		buf = e.appendSim(buf, &t.objSim)
 	}
-	buf = binary.AppendUvarint(buf, uint64(t.arrCount))
-	if t.arrCount > 0 {
-		e.lenCounts = t.appendLenCounts(e.lenCounts[:0])
+	buf = binary.AppendUvarint(buf, uint64(t.arrCount()))
+	if t.arrCount() > 0 {
+		e.lenCounts = t.arr.appendLenCounts(e.lenCounts[:0])
 		buf = binary.AppendUvarint(buf, uint64(len(e.lenCounts)))
 		for _, lc := range e.lenCounts {
 			buf = binary.AppendUvarint(buf, uint64(lc.key))
 			buf = binary.AppendUvarint(buf, uint64(lc.n))
 		}
-		buf = e.appendSim(buf, &t.arrSim)
+		buf = e.appendSim(buf, &t.arr.sim)
 	}
 	base := len(e.children)
 	e.children = t.appendChildren(e.children)
@@ -279,8 +279,9 @@ func (e *sketchEncoder) appendNode(buf []byte, t *statsTrie) []byte {
 		buf = e.appendNode(buf, c.node)
 	}
 	e.children = e.children[:base]
-	buf = binary.AppendUvarint(buf, uint64(len(t.elems)))
-	for _, c := range t.elems {
+	elems := t.elemNodes()
+	buf = binary.AppendUvarint(buf, uint64(len(elems)))
+	for _, c := range elems {
 		if c == nil {
 			buf = append(buf, 0, 0, 0, 0) // an empty node
 		} else {
@@ -982,8 +983,9 @@ func (d *sketchDecoder) mergeNode(t *statsTrie, depth int) error {
 	if arrCount > uint64(maxInt) {
 		return d.rangeErr("array count", arrCount)
 	}
-	t.arrCount += int(arrCount)
 	if arrCount > 0 {
+		a := t.arrays()
+		a.count += int(arrCount)
 		n, err := d.count("length histogram size", 2)
 		if err != nil {
 			return err
@@ -1005,13 +1007,13 @@ func (d *sketchDecoder) mergeNode(t *statsTrie, depth int) error {
 				return d.countRangeErr("length count", c, arrCount)
 			}
 			prev = int(length)
-			t.setLenCount(int(length), int(c))
+			a.setLenCount(int(length), int(c))
 		}
 		var sim jsontype.SimilarityAccumulator
 		if err := d.decodeSim(&sim); err != nil {
 			return err
 		}
-		t.arrSim.Combine(&sim)
+		a.sim.Combine(&sim)
 	}
 	nc, err := d.count("child count", 2)
 	if err != nil {
@@ -1045,7 +1047,7 @@ func (d *sketchDecoder) mergeNode(t *statsTrie, depth int) error {
 		if d.skipEmptyNode() {
 			continue
 		}
-		if err := d.mergeNode(t.elem(i), depth+1); err != nil {
+		if err := d.mergeNode(t.arrays().elem(i), depth+1); err != nil {
 			return err
 		}
 	}

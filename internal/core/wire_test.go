@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -538,6 +539,58 @@ func TestSketchWireRejectsCorrupt(t *testing.T) {
 	}
 	if _, err := UnmarshalPathSketch(bagOnly); !errors.As(err, &ferr) {
 		t.Errorf("trie-less file: got %v, want *SketchFormatError", err)
+	}
+}
+
+// TestSketchKeySetReserveBounded pins mergeNode's guard on sizing a key
+// list from a decoded key set: each key's presence count takes an input
+// byte at least, so a bitset naming more keys than bytes remain must not
+// size the list. The file is a bare sketch whose root carries an all-ones
+// bitset of 1,024 words — 65,536 key ids — and three bytes after it:
+// decoding fails with a *SketchFormatError and allocates at most 64 B per
+// input byte. The guard lets a list take 32 B per remaining byte; sizing
+// this one would take 256 B per input byte.
+func TestSketchKeySetReserveBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const words = 1024
+	trie := binary.AppendUvarint(nil, 1) // record count
+	trie = binary.AppendUvarint(trie, 1) // the root's object count
+	trie = binary.AppendUvarint(trie, words)
+	for i := 0; i < words; i++ {
+		trie = binary.LittleEndian.AppendUint64(trie, ^uint64(0))
+	}
+	trie = append(trie, 1, 1, 1)
+	data := append([]byte(sketchMagic), SketchFormatVersion, flagTrie)
+	for _, sec := range []struct {
+		tag  byte
+		body []byte
+	}{
+		{secKeys, binary.AppendUvarint(nil, 0)},
+		{secType, jsontype.NewTypeEncoder().Append(nil)},
+		{secTrie, trie},
+	} {
+		data = append(data, sec.tag)
+		data = binary.AppendUvarint(data, uint64(len(sec.body)))
+		data = append(data, sec.body...)
+	}
+
+	var ferr *SketchFormatError
+	if _, err := UnmarshalPathSketch(data); !errors.As(err, &ferr) {
+		t.Fatalf("got %v, want *SketchFormatError", err)
+	}
+	const runs, maxPerByte = 20, 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		UnmarshalPathSketch(data)
+	}
+	runtime.ReadMemStats(&after)
+	perByte := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(len(data))
+	t.Logf("decoding a %d-byte file allocates %.2f B per input byte", len(data), perByte)
+	if perByte > maxPerByte {
+		t.Errorf("decoding allocates %.1f B per input byte, want at most %d", perByte, maxPerByte)
 	}
 }
 

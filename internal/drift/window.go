@@ -15,8 +15,9 @@ import (
 // retired, and tuple/collection rulings that flipped — without holding
 // any schema or record state of its own. Where Monitor answers "does the
 // stream still validate against the baseline?", WindowMonitor answers
-// "is the stream's shape itself moving?", which is exactly the per-window
-// question the ring's serialized epochs make free to ask.
+// "is the stream's shape itself moving?" — a question the ring answers
+// for free, since each closed window is a read-only sketch of exactly
+// the records it observed, handed to the hook as it closes.
 
 // WindowChange is one structural difference between consecutive windows.
 type WindowChange struct {

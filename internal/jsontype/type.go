@@ -263,21 +263,25 @@ func (t *Type) appendCanon(b []byte) []byte {
 	return b
 }
 
+// canonEscaped marks the bytes that are structural in canonical forms.
+// A table lookup per byte, rather than strings.ContainsAny, which builds
+// its byte set on every call: canonical forms are rendered for every
+// type the reservoir admits.
+var canonEscaped = [256]bool{'\\': true, ':': true, ',': true, '{': true, '}': true, '[': true, ']': true}
+
 // appendCanonKey escapes the characters that are structural in canonical
-// forms so that distinct key sets can never collide.
+// forms so that distinct key sets can never collide. Runs of unescaped
+// bytes are copied whole.
 func appendCanonKey(b []byte, key string) []byte {
-	if !strings.ContainsAny(key, `\:,{}[]`) {
-		return append(b, key...)
-	}
+	start := 0
 	for i := 0; i < len(key); i++ {
-		switch c := key[i]; c {
-		case '\\', ':', ',', '{', '}', '[', ']':
+		if c := key[i]; canonEscaped[c] {
+			b = append(b, key[start:i]...)
 			b = append(b, '\\', c)
-		default:
-			b = append(b, c)
+			start = i + 1
 		}
 	}
-	return b
+	return append(b, key[start:]...)
 }
 
 // String renders the type in the paper's notation, e.g.

@@ -153,6 +153,28 @@ func TestCanonKeyEscaping(t *testing.T) {
 	if c.Canon() == d.Canon() {
 		t.Error("escaped keys collide")
 	}
+
+	// The exact forms: each of the seven structural characters gains a
+	// backslash wherever it sits in the key, and every other byte —
+	// non-ASCII and invalid UTF-8 included — is copied as it is.
+	for _, tc := range []struct{ key, want string }{
+		{`x\y`, `{x\\y:r}`},
+		{`x:y`, `{x\:y:r}`},
+		{`x,y`, `{x\,y:r}`},
+		{`x{y`, `{x\{y:r}`},
+		{`x}y`, `{x\}y:r}`},
+		{`x[y`, `{x\[y:r}`},
+		{`x]y`, `{x\]y:r}`},
+		{`\:,{}[]`, `{\\\:\,\{\}\[\]:r}`},
+		{`:a]`, `{\:a\]:r}`},
+		{"ключ€", "{ключ€:r}"},
+		{"\xff\xfe:\x80", "{\xff\xfe\\:\x80:r}"},
+		{"", "{:r}"},
+	} {
+		if got := obj(tc.key, Number).Canon(); got != tc.want {
+			t.Errorf("Canon of {%q: ℝ} = %q, want %q", tc.key, got, tc.want)
+		}
+	}
 }
 
 func TestTypeString(t *testing.T) {
