@@ -58,6 +58,7 @@ fuzz:
 	$(GO) test -fuzz FuzzLineFraming -fuzztime 30s ./internal/ingest/
 	$(GO) test -fuzz FuzzKeySet -fuzztime 30s ./internal/entity/
 	$(GO) test -fuzz FuzzWeightedVsReplicated -fuzztime 30s ./internal/entity/
+	$(GO) test -fuzz FuzzBimaxMatchesRef -fuzztime 30s ./internal/entity/
 	$(GO) test -fuzz FuzzUnmarshal -fuzztime 30s ./internal/schema/
 	$(GO) test -fuzz FuzzSketchDecode -fuzztime 30s -fuzzminimizetime 1s ./internal/core/
 	$(GO) test -fuzz FuzzSketchMerge -fuzztime 30s -fuzzminimizetime 1s ./internal/core/

@@ -275,7 +275,9 @@ func assignClusters(w entity.Weighted, features int, cfg Config) []int {
 }
 
 // groupByAssignment materializes entity bags from a cluster assignment
-// over distinct key sets.
+// over distinct key sets. Every type of bag belongs to one set, so each
+// entity bag is a sub-bag of bag and its types are appended without a
+// second deduplication.
 func groupByAssignment(bag *jsontype.Bag, typesBySet [][]int, assignment []int) []*jsontype.Bag {
 	nClusters := 0
 	for _, c := range assignment {
@@ -289,7 +291,7 @@ func groupByAssignment(bag *jsontype.Bag, typesBySet [][]int, assignment []int) 
 			parts[cluster] = &jsontype.Bag{}
 		}
 		for _, ti := range typesBySet[si] {
-			parts[cluster].AddN(bag.Types()[ti], bag.Count(ti))
+			parts[cluster].AddDistinct(bag.Types()[ti], bag.Count(ti))
 		}
 	}
 	out := parts[:0]

@@ -1,6 +1,9 @@
 package entity
 
-import "sort"
+import (
+	"math/bits"
+	"sort"
+)
 
 // Cluster is one discovered entity: a group of input key sets together
 // with its maximal element (the union of all member key sets — for
@@ -129,64 +132,118 @@ func bimaxSortRef(sets []KeySet, order []int, clusters *[]Cluster, weights []int
 	}
 }
 
-// bimaxSortIndexed is the sub-quadratic partition loop: the posting index
-// yields only the sets sharing a key with the seed (plus empty sets, which
-// are subsets of everything); everything else is disjoint and is neither
-// tested nor moved. A round walks the window span from the seed up to the
-// last candidate once, in order, so candidates need no sorting, and only
-// candidates pay a SubsetOf test; sets past the last candidate are not
-// touched at all. The resulting order — and the emitted clusters — are
-// identical to bimaxSortRef.
+// bimaxSortIndexed is the sub-quadratic partition loop. The window lives
+// in a slot array of 2n entries with holes (-1): set id sits in
+// slots[slot[id]] and keeps that slot until it is finalized (slot[id]
+// becomes -1) or moves to the front as an overlap. A round asks the
+// posting index for the live sets sharing a key with the seed and their
+// shared-key counts, so a candidate is a subset of the seed exactly when
+// its count equals its size; the live empty sets, subsets of everything,
+// join them. Every other set is disjoint from the seed and is neither
+// tested nor moved. The candidates' slot bits, read from the seed's word
+// to the last candidate's, list subsets and overlaps in window order
+// without a sort. Subsets are finalized into order; overlaps are written,
+// in order, into the free slots just before the rest of the window, which
+// is first packed against the buffer's end when the front has no room.
+// A pack leaves at least n slots free in front, so packing costs O(1)
+// amortized per moved set. The resulting order — and the emitted
+// clusters — are identical to bimaxSortRef.
 func bimaxSortIndexed(sets []KeySet, order []int, clusters *[]Cluster, weights []int) {
+	n := len(order)
 	ix := NewIndex(sets)
-	// pos inverts order: pos[id] is the current position of set id. A set
-	// is finalized (left the window) once its position drops below i;
-	// finalized sets never re-enter, which licenses posting compaction.
-	pos := make([]int32, len(sets))
-	for p, id := range order {
-		pos[id] = int32(p)
+	size := make([]int, len(sets))
+	shared := make([]int, len(sets))
+	slot := make([]int32, len(sets))
+	slots := make([]int32, 2*n)
+	for p := range slots[:n] {
+		slots[p] = -1
 	}
-	var cands []int32
-	var sub, overlap, disjoint []int
-	for i := 0; i < len(order); {
-		kmax := sets[order[i]]
-		win := int32(i)
-		cands = ix.Candidates(kmax, func(id int32) bool { return pos[id] >= win }, cands[:0])
-		last := i
+	for p, id := range order {
+		size[id] = sets[id].Len()
+		slot[id] = int32(n + p)
+		slots[n+p] = int32(id)
+	}
+	marked := make([]uint64, (2*n+wordBits-1)/wordBits)
+	live := func(id int32) bool { return slot[id] >= 0 }
+	// Non-nil from the start: AddGains only lists first-touch ids when
+	// handed a non-nil dst, and cands[:0] must preserve that.
+	cands := make([]int32, 0, 64)
+	var overlap []int32
+	// head is the seed's slot: every slot before it is free.
+	for done, head := 0, n; done < n; {
+		kmax := sets[slots[head]]
+		cands = ix.AddGains(kmax, live, 1, shared, cands[:0])
+		cands = ix.LiveEmpties(live, cands)
+		last := head
 		for _, id := range cands {
-			last = max(last, int(pos[id]))
+			s := int(slot[id])
+			marked[s/wordBits] |= 1 << (uint(s) % wordBits)
+			last = max(last, s)
 		}
-		// Split order[i..last] stably into sub, overlap and the span's
-		// non-candidates. Sets after last are disjoint from the seed and
-		// already follow everything that moves, so rewriting the span
-		// leaves the window reading sub < overlap < disjoint exactly as
-		// the reference loop does.
-		sub, overlap, disjoint = sub[:0], overlap[:0], disjoint[:0]
-		for _, id := range order[i : last+1] {
-			switch {
-			case !ix.Marked(id):
-				disjoint = append(disjoint, id)
-			case sets[id].SubsetOf(kmax):
-				sub = append(sub, id)
-			default:
-				overlap = append(overlap, id)
+		start := done
+		overlap = overlap[:0]
+		for w := head / wordBits; w <= last/wordBits; w++ {
+			word := marked[w]
+			marked[w] = 0
+			for ; word != 0; word &= word - 1 {
+				s := w*wordBits + bits.TrailingZeros64(word)
+				id := slots[s]
+				slots[s] = -1
+				if shared[id] == size[id] {
+					slot[id] = -1
+					order[done] = int(id)
+					done++
+				} else {
+					overlap = append(overlap, id)
+				}
 			}
 		}
+		for _, id := range cands {
+			shared[id] = 0
+		}
 		if clusters != nil {
+			sub := order[start:done]
 			*clusters = append(*clusters, Cluster{
 				Members: append([]int(nil), sub...),
 				Max:     kmax,
 				Weight:  weightOf(sub, weights),
 			})
 		}
-		n := i + copy(order[i:], sub)
-		n += copy(order[n:], overlap)
-		copy(order[n:], disjoint)
-		for p := i; p <= last; p++ {
-			pos[order[p]] = int32(p)
+		if len(overlap) == 0 {
+			for head < len(slots) && slots[head] < 0 {
+				head++
+			}
+			continue
 		}
-		i += len(sub)
+		// The seed's slot is free now too, so the overlaps end there
+		// unless the front lacks room for them.
+		front := head + 1
+		if front < len(overlap) {
+			front = packWindow(slots, slot, front)
+		}
+		head = front - len(overlap)
+		for k, id := range overlap {
+			slots[head+k] = id
+			slot[id] = int32(head + k)
+		}
 	}
+}
+
+// packWindow moves the live entries of slots[from:] against the end of
+// slots, keeping their order, and returns the first live slot (len(slots)
+// when none is live). With at most n sets live in 2n slots, at least n
+// slots are free in front afterwards.
+func packWindow(slots, slot []int32, from int) int {
+	dst := len(slots)
+	for s := len(slots) - 1; s >= from; s-- {
+		if id := slots[s]; id >= 0 {
+			dst--
+			slots[s] = -1
+			slots[dst] = id
+			slot[id] = int32(dst)
+		}
+	}
+	return dst
 }
 
 func weightOf(members []int, weights []int) int {

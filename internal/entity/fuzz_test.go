@@ -1,6 +1,7 @@
 package entity
 
 import (
+	"slices"
 	"sort"
 	"testing"
 )
@@ -154,6 +155,59 @@ func FuzzWeightedVsReplicated(f *testing.F) {
 			if repl != wtd {
 				t.Fatalf("merge=%v: weighted diverges\nreplicated:\n%s\nweighted:\n%s", merge, repl, wtd)
 			}
+		}
+	})
+}
+
+// FuzzBimaxMatchesRef holds the indexed Bimax loop to the quadratic
+// reference on arbitrary bags of key sets. The first byte's low bit says
+// whether the sets carry weights; the rest is consumed as (setShape,
+// repeat) byte pairs as in FuzzWeightedVsReplicated — setShape seeds a
+// small key set (empty for 0, ids spread across word boundaries), repeat
+// its number of copies and its weight — up to 300 sets. Order, clusters
+// and cluster weights must be identical.
+func FuzzBimaxMatchesRef(f *testing.F) {
+	f.Add([]byte{0, 3, 2, 7, 1, 3, 4, 0, 2})
+	f.Add([]byte{1, 255, 9, 1, 1, 255, 1, 128, 3, 64, 2, 0, 1})
+	// A star: six sets sharing key 0 and otherwise disjoint, so each
+	// round moves every remaining set to the front.
+	f.Add([]byte{1, 129, 0, 3, 8, 65, 0, 5, 16, 33, 0, 9, 0})
+	f.Fuzz(func(t *testing.T, program []byte) {
+		if len(program) == 0 {
+			return
+		}
+		var sets []KeySet
+		var weights []int
+		for i := 1; i+1 < len(program) && len(sets) < 300; i += 2 {
+			shape, repeat := program[i], program[i+1]
+			var ids []int
+			for b := 0; b < 8; b++ {
+				if shape&(1<<b) != 0 {
+					ids = append(ids, b*(1+int(shape)%17))
+				}
+			}
+			s := NewKeySet(ids...)
+			for r := 0; r < int(repeat)%8+1 && len(sets) < 300; r++ {
+				sets = append(sets, s)
+				weights = append(weights, 1+int(repeat)/8)
+			}
+		}
+		if program[0]&1 == 0 {
+			weights = nil
+		}
+		refOrder := sizeDescending(sets)
+		var refClusters []Cluster
+		bimaxSortRef(sets, refOrder, &refClusters, weights)
+
+		ixOrder := sizeDescending(sets)
+		var ixClusters []Cluster
+		bimaxSortIndexed(sets, ixOrder, &ixClusters, weights)
+
+		if !slices.Equal(refOrder, ixOrder) {
+			t.Fatalf("order %v, reference %v", ixOrder, refOrder)
+		}
+		if !clustersEqual(refClusters, ixClusters) {
+			t.Fatalf("clusters %v, reference %v", ixClusters, refClusters)
 		}
 	})
 }

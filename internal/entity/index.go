@@ -8,9 +8,12 @@ package entity
 // proportional to the posting lists actually touched: postings[k] lists
 // the ids of the sets containing key k, so the sets intersecting a query
 // are exactly the union of the query keys' posting lists, and sets
-// disjoint from the query are never visited at all.
+// disjoint from the query are never visited at all. One walk (AddGains)
+// also counts, per set, the keys it shares with the query: Bimax reads a
+// subset of the seed as a set whose count equals its size, GreedyMerge a
+// cluster's cover gain.
 //
-// Both consumers retire sets monotonically (Bimax finalizes positions,
+// Both consumers retire sets monotonically (Bimax finalizes sets,
 // GreedyMerge deactivates clusters and never reactivates them), so the
 // walks compact dead ids out of the posting lists in place, keeping
 // repeated queries proportional to the *live* postings. The index holds
@@ -20,14 +23,14 @@ package entity
 // Index is an inverted index over the key sets it was built from: for
 // each key id, the ascending ids of the sets containing it. Empty sets
 // appear in no posting list and are tracked separately, because the empty
-// set is a subset of every set and therefore a candidate for every
-// query. An Index is single-goroutine; build one per clustering run.
+// set is a subset of every set and therefore a candidate in every Bimax
+// round. An Index is single-goroutine; build one per clustering run.
 type Index struct {
 	postings [][]int32
 	empties  []int32
 
-	// mark/epoch deduplicate ids within one Candidates walk without
-	// clearing state between walks.
+	// mark/epoch list each id once per AddGains walk without clearing
+	// state between walks.
 	mark  []int32
 	epoch int32
 }
@@ -69,62 +72,14 @@ func NewIndex(sets []KeySet) *Index {
 	return ix
 }
 
-// Candidates appends to dst, each exactly once, the ids of live sets that
-// could be non-disjoint from q: every live set sharing at least one key
-// with q, plus every live empty set (⊆ everything). Ids for which
-// live(id) is false are permanently compacted out of the walked posting
-// lists — callers must guarantee a dead id never becomes live again.
-// The returned ids are in no particular order.
-//
-//jx:hotpath
-func (ix *Index) Candidates(q KeySet, live func(id int32) bool, dst []int32) []int32 {
-	ix.epoch++
-	q.Each(func(k int) {
-		if k >= len(ix.postings) {
-			return
-		}
-		pl := ix.postings[k]
-		kept := pl[:0]
-		for _, id := range pl {
-			if !live(id) {
-				continue
-			}
-			kept = append(kept, id)
-			if ix.mark[id] != ix.epoch {
-				ix.mark[id] = ix.epoch
-				dst = append(dst, id)
-			}
-		}
-		ix.postings[k] = kept
-	})
-	kept := ix.empties[:0]
-	for _, id := range ix.empties {
-		if !live(id) {
-			continue
-		}
-		kept = append(kept, id)
-		if ix.mark[id] != ix.epoch {
-			ix.mark[id] = ix.epoch
-			dst = append(dst, id)
-		}
-	}
-	ix.empties = kept
-	return dst
-}
-
-// Marked reports whether id was returned by the most recent Candidates
-// walk. Valid until the next Candidates call.
-//
-//jx:hotpath
-func (ix *Index) Marked(id int) bool { return ix.mark[id] == ix.epoch }
-
 // AddGains adds delta to gains[id] once per (key of q, live set id
 // containing the key) pair — after a walk with delta=+1 starting from
 // zero, gains[id] = |sets[id] ∩ q| for every live id sharing a key with
-// q. When dst is non-nil, ids touched for the first time in this walk are
-// appended to it (first-touch detection uses the same epoch marks as
-// Candidates, so interleaving AddGains(dst≠nil) and Candidates walks is
-// not supported). Dead ids are compacted exactly as in Candidates.
+// q. When dst is non-nil, the live ids sharing a key with q are appended
+// to it, each exactly once, in no particular order: first-touch
+// detection stamps mark[id] with a fresh epoch. Ids for which live(id) is
+// false are permanently compacted out of the walked posting lists —
+// callers must guarantee a dead id never becomes live again.
 //
 //jx:hotpath
 func (ix *Index) AddGains(q KeySet, live func(id int32) bool, delta int, gains []int, dst []int32) []int32 {
@@ -150,5 +105,20 @@ func (ix *Index) AddGains(q KeySet, live func(id int32) bool, delta int, gains [
 		}
 		ix.postings[k] = kept
 	})
+	return dst
+}
+
+// LiveEmpties appends to dst the ids of the live empty sets, which share
+// no key with any query but are subsets of every set, compacting dead ids
+// out as AddGains does.
+func (ix *Index) LiveEmpties(live func(id int32) bool, dst []int32) []int32 {
+	kept := ix.empties[:0]
+	for _, id := range ix.empties {
+		if live(id) {
+			kept = append(kept, id)
+			dst = append(dst, id)
+		}
+	}
+	ix.empties = kept
 	return dst
 }

@@ -70,32 +70,57 @@ func TestIndexPostings(t *testing.T) {
 	}
 }
 
-func TestIndexCandidatesMatchIntersects(t *testing.T) {
+// TestIndexAddGainsMatchesIntersects pins AddGains with a non-nil dst,
+// the Bimax round's one question to the index: the first-touch ids are
+// exactly the live sets intersecting q, each listed once, and each one's
+// gain is its intersection count with q; LiveEmpties lists exactly the
+// live empty sets. Several queries run against one index while sets die
+// monotonically between them, so the walks compact dead ids out of the
+// posting lists they reuse.
+func TestIndexAddGainsMatchesIntersects(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 50; trial++ {
 		sets := randomBag(r, 1+r.Intn(60))
 		ix := NewIndex(sets)
 		dead := make([]bool, len(sets))
-		for i := range dead {
-			dead[i] = r.Intn(3) == 0
-		}
-		q := randomBag(r, 1)[0]
-		got := ix.Candidates(q, func(id int32) bool { return !dead[id] }, nil)
-		want := map[int]bool{}
-		for id, s := range sets {
-			if !dead[id] && (s.Intersects(q) || s.Empty()) {
-				want[id] = true
+		live := func(id int32) bool { return !dead[id] }
+		gains := make([]int, len(sets))
+		for query := 0; query < 4; query++ {
+			for i := range dead {
+				dead[i] = dead[i] || r.Intn(4) == 0
 			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("candidates %v, want %v (q=%v)", got, want, q.IDs())
-		}
-		for _, id := range got {
-			if !want[int(id)] {
-				t.Fatalf("unexpected candidate %d (q=%v)", id, q.IDs())
+			q := randomBag(r, 1)[0]
+			got := ix.AddGains(q, live, 1, gains, []int32{})
+			seen := map[int]bool{}
+			for _, id := range got {
+				if seen[int(id)] {
+					t.Fatalf("candidate %d listed twice (q=%v)", id, q.IDs())
+				}
+				seen[int(id)] = true
 			}
-			if !ix.Marked(int(id)) {
-				t.Fatalf("candidate %d not marked", id)
+			var empties []int32
+			for id, s := range sets {
+				if dead[id] {
+					if gains[id] != 0 {
+						t.Fatalf("dead set %d gained %d (q=%v)", id, gains[id], q.IDs())
+					}
+					continue
+				}
+				if seen[id] != s.Intersects(q) {
+					t.Fatalf("set %d listed %v, intersects %v (q=%v)", id, seen[id], s.Intersects(q), q.IDs())
+				}
+				if want := s.IntersectCount(q); gains[id] != want {
+					t.Fatalf("gains[%d] = %d, want %d (q=%v)", id, gains[id], want, q.IDs())
+				}
+				if s.Empty() {
+					empties = append(empties, int32(id))
+				}
+			}
+			if got := ix.LiveEmpties(live, nil); !slices.Equal(got, empties) {
+				t.Fatalf("live empties %v, want %v", got, empties)
+			}
+			for _, id := range got {
+				gains[id] = 0
 			}
 		}
 	}
@@ -148,14 +173,32 @@ func TestBimaxIndexedMatchesRef(t *testing.T) {
 }
 
 // TestBimaxIndexedMatchesRefOnWide pins the indexed loop to the reference
-// at scale, which the small random inputs above do not reach: the wide
+// at scale, which the small random inputs above do not reach. The wide
 // datasets at 3,000 records dedup to 1,325–2,795 distinct key sets, so a
-// round's window span holds many non-candidates between its candidates.
-// Order, clusters and weights must all be identical.
+// round's window span holds many non-candidates between its candidates;
+// wide-256 at DefaultN records drawn with seed 1000 is the entity bench's
+// seed-1 input, 9,840 distinct key sets. In the stars input every round
+// moves every remaining set of its seed's star to the front, so the
+// window is packed against the end of its slot buffer again and again. Order, clusters and weights must all
+// be identical.
 func TestBimaxIndexedMatchesRefOnWide(t *testing.T) {
+	type input struct {
+		name string
+		w    Weighted
+	}
+	var inputs []input
 	for _, g := range dataset.WideRegistry() {
 		w, _ := DedupKeySets(topLevelKeySets(g.Generate(3000, 1), NewDict()))
-
+		inputs = append(inputs, input{g.Name, w})
+	}
+	if !testing.Short() {
+		g := dataset.Wide(256)
+		w, _ := DedupKeySets(topLevelKeySets(g.Generate(g.DefaultN, 1000), NewDict()))
+		inputs = append(inputs, input{g.Name + " at DefaultN", w})
+	}
+	inputs = append(inputs, input{"stars", starSets(600)})
+	for _, in := range inputs {
+		w := in.w
 		refOrder := sizeDescending(w.Sets)
 		var refClusters []Cluster
 		bimaxSortRef(w.Sets, refOrder, &refClusters, w.Weights)
@@ -165,12 +208,39 @@ func TestBimaxIndexedMatchesRefOnWide(t *testing.T) {
 		bimaxSortIndexed(w.Sets, ixOrder, &ixClusters, w.Weights)
 
 		if !slices.Equal(refOrder, ixOrder) {
-			t.Errorf("%s: indexed order diverges from the reference over %d distinct sets", g.Name, len(w.Sets))
+			t.Errorf("%s: indexed order diverges from the reference over %d distinct sets", in.name, len(w.Sets))
 		}
 		if !clustersEqual(refClusters, ixClusters) {
-			t.Errorf("%s: indexed clusters diverge from the reference over %d distinct sets", g.Name, len(w.Sets))
+			t.Errorf("%s: indexed clusters diverge from the reference over %d distinct sets", in.name, len(w.Sets))
 		}
 	}
+}
+
+// starSets returns n weighted key sets forming two stars: set i > 0 holds
+// hub key (i/4)%2 and 1 to 4 keys of its own, so sets of one star share
+// only their hub, sets of different stars are disjoint, and the stars
+// alternate in size order. Set 0, the largest, holds both hubs. No set is
+// a subset of another, so every Bimax round finalizes only its seed: set
+// 0's round moves every other set to the front, and from then on each
+// round moves the rest of its seed's star to the front, which packs the
+// other star's live sets behind them, again and again.
+func starSets(n int) Weighted {
+	w := Weighted{Sets: make([]KeySet, n), Weights: make([]int, n)}
+	next := 2
+	own := func(k int) []int {
+		var ids []int
+		for ; k > 0; k-- {
+			ids = append(ids, next)
+			next++
+		}
+		return ids
+	}
+	w.Sets[0], w.Weights[0] = NewKeySet(append([]int{0, 1}, own(5)...)...), 1
+	for i := 1; i < n; i++ {
+		w.Sets[i] = NewKeySet(append([]int{(i / 4) % 2}, own(1+i%4)...)...)
+		w.Weights[i] = 1 + i%5
+	}
+	return w
 }
 
 // TestGreedyMergeIndexedMatchesRef pins the indexed cover search to the
@@ -232,6 +302,9 @@ func TestFindCoverIndexedMatchesRef(t *testing.T) {
 	}
 }
 
+// BenchmarkBimaxNaive times one clustering call: 2,000 random sets, and
+// the entity bench's seed-1 input, wide-256 at DefaultN records deduped to
+// 9,840 distinct key sets.
 func BenchmarkBimaxNaive(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	sets := randomBag(r, 2000)
@@ -243,6 +316,13 @@ func BenchmarkBimaxNaive(b *testing.B) {
 	b.Run("indexed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			BimaxNaive(sets)
+		}
+	})
+	g := dataset.Wide(256)
+	w, _ := DedupKeySets(topLevelKeySets(g.Generate(g.DefaultN, 1000), NewDict()))
+	b.Run("wide-256", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			BimaxNaiveWeighted(w.Sets, w.Weights)
 		}
 	})
 }

@@ -12,8 +12,11 @@ import "sort"
 type Bag struct {
 	types  []*Type
 	counts []int
-	index  map[uint64]int // intern id -> position in types
-	total  int
+	// index maps intern id -> position in types. It is built by the
+	// first AddN, so a sub-bag built by AddDistinct hashes no type unless
+	// something adds to it later; until then it is nil.
+	index map[uint64]int
+	total int
 }
 
 // NewBag returns a bag containing the given types (each with
@@ -39,7 +42,7 @@ func (b *Bag) AddN(t *Type, n int) {
 		panic("jsontype: Bag.AddN with non-positive count")
 	}
 	if b.index == nil {
-		b.index = make(map[uint64]int)
+		b.buildIndex()
 	}
 	if i, ok := b.index[t.ID()]; ok {
 		b.counts[i] += n
@@ -48,6 +51,32 @@ func (b *Bag) AddN(t *Type, n int) {
 		b.types = append(b.types, t)
 		b.counts = append(b.counts, n)
 	}
+	b.total += n
+}
+
+// buildIndex indexes the distinct types b already holds.
+//
+//jx:coldpath runs once per bag, on its first AddN
+func (b *Bag) buildIndex() {
+	b.index = make(map[uint64]int, len(b.types))
+	for i, t := range b.types {
+		b.index[t.ID()] = i
+	}
+}
+
+// AddDistinct inserts n occurrences of t, which b must not hold yet. It
+// builds a sub-bag of a deduplicated bag — each of whose types is
+// distinct already — without hashing a type; AddN on the result still
+// finds every type AddDistinct put there. n must be positive.
+func (b *Bag) AddDistinct(t *Type, n int) {
+	if n <= 0 {
+		panic("jsontype: Bag.AddDistinct with non-positive count")
+	}
+	if b.index != nil {
+		b.index[t.ID()] = len(b.types)
+	}
+	b.types = append(b.types, t)
+	b.counts = append(b.counts, n)
 	b.total += n
 }
 
@@ -84,9 +113,15 @@ func (b *Bag) Types() []*Type { return b.types }
 // Count returns the multiplicity of the i-th distinct type.
 func (b *Bag) Count(i int) int { return b.counts[i] }
 
-// CountOf returns the multiplicity of t (0 if absent).
+// CountOf returns the multiplicity of t (0 if absent). A bag no AddN has
+// indexed yet is scanned.
 func (b *Bag) CountOf(t *Type) int {
 	if b.index == nil {
+		for i, u := range b.types {
+			if u.ID() == t.ID() {
+				return b.counts[i]
+			}
+		}
 		return 0
 	}
 	if i, ok := b.index[t.ID()]; ok {
@@ -103,17 +138,18 @@ func (b *Bag) Each(fn func(t *Type, n int)) {
 }
 
 // SplitKinds partitions the bag into primitives, arrays and objects,
-// the first step of Algorithms 1 and 4.
+// the first step of Algorithms 1 and 4. Each part is a sub-bag of b, so
+// its types are appended without a second deduplication.
 func (b *Bag) SplitKinds() (prims, arrays, objects *Bag) {
 	prims, arrays, objects = &Bag{}, &Bag{}, &Bag{}
 	for i, t := range b.types {
 		switch t.Kind() {
 		case KindArray:
-			arrays.AddN(t, b.counts[i])
+			arrays.AddDistinct(t, b.counts[i])
 		case KindObject:
-			objects.AddN(t, b.counts[i])
+			objects.AddDistinct(t, b.counts[i])
 		default:
-			prims.AddN(t, b.counts[i])
+			prims.AddDistinct(t, b.counts[i])
 		}
 	}
 	return prims, arrays, objects

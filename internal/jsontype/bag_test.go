@@ -1,6 +1,10 @@
 package jsontype
 
-import "testing"
+import (
+	"math/rand"
+	"slices"
+	"testing"
+)
 
 func TestBagAddAndCounts(t *testing.T) {
 	b := NewBag(Number, Number, String)
@@ -130,5 +134,98 @@ func TestGroupByIndexEmpty(t *testing.T) {
 	groups, present := b.GroupByIndex()
 	if len(groups) != 0 || len(present) != 0 {
 		t.Error("empty arrays should produce no positions")
+	}
+}
+
+// TestSubBagMatchesAddN is a property test of the sub-bag paths: a bag
+// started from a SplitKinds part or by AddDistinct, and then driven by a
+// random sequence of AddN, Merge, CountOf and Each, must match a bag built
+// by AddN alone — types and their order, counts, Len, Distinct and
+// CountOf of every type. AddN of a type the sub-bag already holds must
+// raise its count, not append a second entry.
+func TestSubBagMatchesAddN(t *testing.T) {
+	pool := []*Type{Number, String, Bool, Null,
+		arr(), arr(Number), arr(String, Number),
+		obj("a", Number), obj("a", String), obj("a", Number, "b", Bool), obj("c", arr(Null))}
+	r := rand.New(rand.NewSource(7))
+	randomBag := func(max int) *Bag {
+		b := &Bag{}
+		for k := r.Intn(max); k > 0; k-- {
+			b.AddN(pool[r.Intn(len(pool))], 1+r.Intn(5))
+		}
+		return b
+	}
+	for trial := 0; trial < 500; trial++ {
+		parent := randomBag(20)
+		var sub *Bag
+		model := &Bag{}
+		if trial%2 == 0 {
+			parts := make([]*Bag, 3)
+			parts[0], parts[1], parts[2] = parent.SplitKinds()
+			sub = parts[r.Intn(3)]
+			sub.Each(func(t *Type, n int) { model.AddN(t, n) })
+		} else {
+			sub = &Bag{}
+			for i, ty := range parent.Types() {
+				if r.Intn(2) == 0 {
+					sub.AddDistinct(ty, parent.Count(i))
+					model.AddN(ty, parent.Count(i))
+				}
+			}
+		}
+		checkBagsMatch(t, trial, "start", sub, model, pool)
+		for op := 0; op < 8; op++ {
+			switch r.Intn(4) {
+			case 0:
+				ty := pool[r.Intn(len(pool))]
+				if sub.Distinct() > 0 && r.Intn(2) == 0 {
+					ty = sub.Types()[r.Intn(sub.Distinct())]
+				}
+				held, distinct, count := sub.CountOf(ty) > 0, sub.Distinct(), sub.CountOf(ty)
+				n := 1 + r.Intn(5)
+				sub.AddN(ty, n)
+				model.AddN(ty, n)
+				if held && (sub.Distinct() != distinct || sub.CountOf(ty) != count+n) {
+					t.Fatalf("trial %d: AddN of a held type: distinct %d → %d, count %d → %d",
+						trial, distinct, sub.Distinct(), count, sub.CountOf(ty))
+				}
+			case 1:
+				other := randomBag(6)
+				sub.Merge(other)
+				model.Merge(other)
+			case 2:
+				ty := pool[r.Intn(len(pool))]
+				if got, want := sub.CountOf(ty), model.CountOf(ty); got != want {
+					t.Fatalf("trial %d: CountOf %d, want %d", trial, got, want)
+				}
+			case 3:
+				var got, want []int
+				sub.Each(func(ty *Type, n int) { got = append(got, int(ty.ID()), n) })
+				model.Each(func(ty *Type, n int) { want = append(want, int(ty.ID()), n) })
+				if !slices.Equal(got, want) {
+					t.Fatalf("trial %d: Each %v, want %v", trial, got, want)
+				}
+			}
+			checkBagsMatch(t, trial, "after an op", sub, model, pool)
+		}
+	}
+}
+
+func checkBagsMatch(t *testing.T, trial int, when string, got, want *Bag, pool []*Type) {
+	t.Helper()
+	if got.Len() != want.Len() || got.Distinct() != want.Distinct() {
+		t.Fatalf("trial %d, %s: Len %d Distinct %d, want %d and %d",
+			trial, when, got.Len(), got.Distinct(), want.Len(), want.Distinct())
+	}
+	for i, ty := range want.Types() {
+		if got.Types()[i].ID() != ty.ID() || got.Count(i) != want.Count(i) {
+			t.Fatalf("trial %d, %s: entry %d is %v ×%d, want %v ×%d",
+				trial, when, i, got.Types()[i], got.Count(i), ty, want.Count(i))
+		}
+	}
+	for _, ty := range pool {
+		if got.CountOf(ty) != want.CountOf(ty) {
+			t.Fatalf("trial %d, %s: CountOf(%v) %d, want %d", trial, when, ty, got.CountOf(ty), want.CountOf(ty))
+		}
 	}
 }
