@@ -34,7 +34,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -43,12 +42,12 @@ import (
 
 	"jxplain/internal/core"
 	"jxplain/internal/drift"
-	"jxplain/internal/ingest"
 	"jxplain/internal/jsontype"
 	"jxplain/internal/merge"
 	"jxplain/internal/metrics"
 	"jxplain/internal/schema"
 	"jxplain/internal/stats"
+	"jxplain/internal/stream"
 )
 
 func main() {
@@ -100,10 +99,15 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	switch *algorithm {
-	case "jxplain", "bimax-naive", "k-reduce", "l-reduce":
-	default:
+	// k-reduce and l-reduce take no Config; the staged extractors do.
+	cfg, err := stream.Config(*algorithm, *threshold, !*noArrayTuples, !*noObjectColls, *seed)
+	staged := err == nil
+	if !staged && *algorithm != "k-reduce" && *algorithm != "l-reduce" {
 		return fmt.Errorf("unknown algorithm %q", *algorithm)
+	}
+	iterate := *iterative > 0 && *iterative < 1
+	if iterate && !staged {
+		return fmt.Errorf("-iterative requires a JXPLAIN algorithm")
 	}
 
 	input := stdin
@@ -119,27 +123,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		input = nil
 	}
 
-	streaming := (*algorithm == "jxplain" || *algorithm == "bimax-naive") &&
-		!(*iterative > 0 && *iterative < 1)
-	if (*emitSketch != "" || len(mergeSketches) > 0) && !streaming {
-		return fmt.Errorf("-emit-sketch/-merge-sketch require a streaming extractor (jxplain or bimax-naive, without -iterative)")
-	}
-	bounds := core.Bounds{
-		ReservoirCapacity: *capacity,
-		WindowRecords:     *window,
-		WindowCount:       *ring,
-		DecayFactor:       *decay,
-	}
-	if bounds != (core.Bounds{}) {
-		if !streaming {
-			return fmt.Errorf("-capacity/-window/-ring/-decay require a streaming extractor (jxplain or bimax-naive, without -iterative)")
-		}
-		if (*ring > 0 || *decay != 0) && *window <= 0 {
-			return fmt.Errorf("-ring and -decay need a -window cadence")
-		}
-		if *decay != 0 && !(*decay > 0 && *decay < 1) {
-			return fmt.Errorf("-decay must be in (0, 1)")
-		}
+	streaming := staged && !iterate
+	bounded := *capacity != 0 || *window != 0 || *ring != 0 || *decay != 0
+	if !streaming && (*emitSketch != "" || len(mergeSketches) > 0 || bounded) {
+		return fmt.Errorf("-emit-sketch, -merge-sketch, -capacity, -window, -ring and -decay require a streaming extractor (jxplain or bimax-naive, without -iterative)")
 	}
 	if *windowDrift && *ring <= 0 {
 		return fmt.Errorf("-window-drift requires a -ring of closed windows")
@@ -147,8 +134,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 
 	var s schema.Schema
 	records := 0
-	distinct := 0
-	boundedStats := ""
+	streamStats := "" // the -stats lines only a streaming run has
 	start := time.Now()
 	var sampler *stats.MemSampler
 	if *statsF {
@@ -157,69 +143,38 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	}
 
 	if streaming {
-		cfg := configFor(*algorithm, *threshold, !*noArrayTuples, !*noObjectColls)
-		cfg.Seed = *seed
-		cfg.Bounds = bounds
-		acc := core.NewAccumulator(cfg)
+		p := stream.Plan{
+			Options: stream.Options{ChunkSize: *chunk, Workers: *workers, JSONL: *jsonl,
+				Capacity: *capacity, WindowRecords: *window, WindowCount: *ring, Decay: *decay},
+			Seeds:         mergeSketches,
+			ReduceWorkers: *reduceWorkers,
+		}
 		if *windowDrift {
-			drift.NewWindowMonitor(cfg).Bind(acc, func(ev *drift.WindowEvent) {
-				fmt.Fprintln(stderr, ev.String())
-			})
+			p.WindowDrift = func(ev *drift.WindowEvent) { fmt.Fprintln(stderr, ev.String()) }
 		}
-		datas := make([][]byte, len(mergeSketches))
-		for i, path := range mergeSketches {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				return err
-			}
-			datas[i] = data
+		res, err := stream.Run(context.Background(), input, cfg, p)
+		if err != nil {
+			return err
 		}
-		if err := acc.MergeSketches(datas, *reduceWorkers); err != nil {
-			var merr *core.SketchMergeError
-			if errors.As(err, &merr) && merr.Index < len(mergeSketches) {
-				return fmt.Errorf("merging sketch %s: %w", mergeSketches[merr.Index], merr.Err)
-			}
-			return fmt.Errorf("merging sketches: %w", err)
-		}
-		if input != nil {
-			// An add is atomic with respect to windows, so with a window
-			// cadence the default chunk size must not exceed it — otherwise
-			// rotations happen at chunk granularity, not the configured one.
-			// An explicit -chunk is respected as given.
-			if *chunk == 0 && *window > 0 && *window < 2048 {
-				*chunk = *window
-			}
-			opts := ingest.Options{ChunkSize: *chunk, Workers: *workers, JSONL: *jsonl}
-			if _, err := ingest.Fold(context.Background(), input, opts, acc); err != nil {
-				return fmt.Errorf("decoding records: %w", err)
-			}
-		}
-		if acc.Records() == 0 {
+		acc := res.Acc
+		if records = acc.Records(); records == 0 {
 			return fmt.Errorf("no records in input")
 		}
-		records, distinct = acc.Records(), acc.Distinct()
+		if *emitSketch != "" {
+			return stream.WriteSketch(stdout, acc, *emitSketch)
+		}
+		// Read now, so that acc is garbage once the schema is derived.
+		streamStats = fmt.Sprintf("distinct types: %d\n", acc.Distinct())
 		if r := acc.Reservoir(); r != nil {
-			boundedStats += fmt.Sprintf("reservoir: seen=%d retained=%d dropped=%d evictions=%d\n",
+			streamStats += fmt.Sprintf("reservoir: seen=%d retained=%d dropped=%d evictions=%d\n",
 				r.Seen(), r.Distinct(), r.Dropped(), r.Evictions())
 		}
 		if w := acc.WindowsClosed(); w > 0 {
-			boundedStats += fmt.Sprintf("windows closed: %d\n", w)
-		}
-		if *emitSketch != "" {
-			data, err := acc.Marshal()
-			if err != nil {
-				return err
-			}
-			if *emitSketch == "-" {
-				_, err := stdout.Write(data)
-				return err
-			}
-			return os.WriteFile(*emitSketch, data, 0o644)
+			streamStats += fmt.Sprintf("windows closed: %d\n", w)
 		}
 		s = acc.Finish()
 	} else {
 		var types []*jsontype.Type
-		var err error
 		if *jsonl {
 			types, err = jsontype.DecodeLines(input, *workers)
 		} else {
@@ -233,11 +188,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		}
 		records = len(types)
 
-		if *iterative > 0 && *iterative < 1 {
-			if *algorithm != "jxplain" && *algorithm != "bimax-naive" {
-				return fmt.Errorf("-iterative requires a JXPLAIN algorithm")
-			}
-			cfg := configFor(*algorithm, *threshold, !*noArrayTuples, !*noObjectColls)
+		switch {
+		case iterate:
 			var report core.IterativeReport
 			s, report = core.IterativeDiscover(types, cfg, *iterative, 10, *seed)
 			if *statsF {
@@ -245,11 +197,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 					report.Rounds, report.Converged,
 					report.SampleSizes[len(report.SampleSizes)-1], len(types))
 			}
-		} else {
-			s, err = discover(*algorithm, types, *threshold, !*noArrayTuples, !*noObjectColls)
-			if err != nil {
-				return err
-			}
+		case *algorithm == "k-reduce":
+			s = merge.FoldK(types, 0)
+		default: // l-reduce
+			s = merge.Naive(jsontype.NewBag(types...))
 		}
 	}
 	s = schema.Simplify(s)
@@ -259,34 +210,12 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		peak := sampler.Stop()
 		fmt.Fprintf(stderr, "records: %d\nschema nodes: %d\nentities: %d\nschema entropy (log2 types): %.2f\n",
 			records, schema.Size(s), schema.Entities(s), metrics.SchemaEntropy(s))
-		if streaming {
-			fmt.Fprintf(stderr, "distinct types: %d\n", distinct)
-			fmt.Fprint(stderr, boundedStats)
-		}
+		fmt.Fprint(stderr, streamStats)
 		fmt.Fprintf(stderr, "elapsed: %s\nthroughput: %.0f records/s\npeak heap: %.1f MiB\n",
 			elapsed.Round(time.Millisecond), float64(records)/elapsed.Seconds(),
 			float64(peak)/(1<<20))
 	}
-
-	switch *format {
-	case "pretty":
-		fmt.Fprintln(stdout, s.String())
-	case "jsonschema":
-		data, err := schema.MarshalJSONSchema(s)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, string(data))
-	case "native":
-		data, err := schema.Marshal(s)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, string(data))
-	default:
-		return fmt.Errorf("unknown format %q", *format)
-	}
-	return nil
+	return stream.WriteSchema(stdout, s, *format)
 }
 
 // sketchList collects repeated -merge-sketch flags in order.
@@ -297,32 +226,4 @@ func (s *sketchList) String() string { return fmt.Sprint([]string(*s)) }
 func (s *sketchList) Set(v string) error {
 	*s = append(*s, v)
 	return nil
-}
-
-func configFor(algorithm string, threshold float64, arrayTuples, objectColls bool) core.Config {
-	cfg := core.Default()
-	cfg.Detection.Threshold = threshold
-	cfg.DetectArrayTuples = arrayTuples
-	cfg.DetectObjectCollections = objectColls
-	if algorithm == "bimax-naive" {
-		cfg.Partition = core.BimaxNaive
-	}
-	return cfg
-}
-
-func discover(algorithm string, types []*jsontype.Type, threshold float64, arrayTuples, objectColls bool) (schema.Schema, error) {
-	cfg := configFor(algorithm, threshold, arrayTuples, objectColls)
-	switch algorithm {
-	case "jxplain", "bimax-naive":
-		return core.PipelineTypes(types, cfg), nil
-	case "k-reduce":
-		return merge.FoldK(types, 0), nil
-	case "l-reduce":
-		bag := &jsontype.Bag{}
-		for _, t := range types {
-			bag.Add(t)
-		}
-		return merge.Naive(bag), nil
-	}
-	return nil, fmt.Errorf("unknown algorithm %q", algorithm)
 }

@@ -27,7 +27,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -38,6 +37,7 @@ import (
 	"jxplain/internal/core"
 	"jxplain/internal/ingest"
 	"jxplain/internal/schema"
+	"jxplain/internal/stream"
 )
 
 func main() {
@@ -53,7 +53,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	}
 	switch args[0] {
 	case "map":
-		return runMap(args[1:], stdin)
+		return runMap(args[1:], stdin, stdout)
 	case "reduce":
 		return runReduce(args[1:], stdout)
 	case "run":
@@ -62,32 +62,48 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	return fmt.Errorf("unknown subcommand %q (want map, reduce, or run)", args[0])
 }
 
-// algoFlags registers the algorithm-selection flags shared by reduce and
-// run, returning a closure that builds the Config.
-func algoFlags(fs *flag.FlagSet) func() (core.Config, error) {
-	algorithm := fs.String("algorithm", "jxplain", "extractor: jxplain or bimax-naive")
-	threshold := fs.Float64("threshold", 1.0,
+// reduceFlags holds the flags reduce and run share: the staged
+// extractor's configuration, the merge width and the output format.
+type reduceFlags struct {
+	algorithm, format            string
+	threshold                    float64
+	noArrayTuples, noObjectColls bool
+	seed                         int64
+	workers                      int
+}
+
+func newReduceFlags(fs *flag.FlagSet) *reduceFlags {
+	f := &reduceFlags{}
+	fs.StringVar(&f.algorithm, "algorithm", "jxplain", "extractor: jxplain or bimax-naive")
+	fs.Float64Var(&f.threshold, "threshold", 1.0,
 		"key-space entropy threshold for collection detection (natural log)")
-	noArrayTuples := fs.Bool("no-array-tuples", false,
+	fs.BoolVar(&f.noArrayTuples, "no-array-tuples", false,
 		"treat every array as a collection (disable §5.4 detection)")
-	noObjectColls := fs.Bool("no-object-collections", false,
+	fs.BoolVar(&f.noObjectColls, "no-object-collections", false,
 		"treat every object as a tuple (disable §5.1 detection)")
-	seed := fs.Int64("seed", 1, "seed for sampling and k-means")
-	return func() (core.Config, error) {
-		cfg := core.Default()
-		cfg.Detection.Threshold = *threshold
-		cfg.DetectArrayTuples = !*noArrayTuples
-		cfg.DetectObjectCollections = !*noObjectColls
-		cfg.Seed = *seed
-		switch *algorithm {
-		case "jxplain":
-		case "bimax-naive":
-			cfg.Partition = core.BimaxNaive
-		default:
-			return cfg, fmt.Errorf("unknown algorithm %q (the staged reducer supports jxplain and bimax-naive)", *algorithm)
-		}
-		return cfg, nil
+	fs.Int64Var(&f.seed, "seed", 1, "seed for sampling and k-means")
+	fs.StringVar(&f.format, "format", "pretty",
+		"output: pretty (paper notation), jsonschema, or native")
+	fs.IntVar(&f.workers, "reduce-workers", 0,
+		"concurrent sketch-merge workers (0 = one per core, 1 = sequential)")
+	return f
+}
+
+func (f *reduceFlags) config() (core.Config, error) {
+	return stream.Config(f.algorithm, f.threshold, !f.noArrayTuples, !f.noObjectColls, f.seed)
+}
+
+// reduce merges the sketch files in order — as a parallel tree when
+// -reduce-workers allows — and synthesizes the schema once.
+func (f *reduceFlags) reduce(stdout io.Writer, cfg core.Config, sketches []string) error {
+	res, err := stream.Run(context.Background(), nil, cfg, stream.Plan{Seeds: sketches, ReduceWorkers: f.workers})
+	if err != nil {
+		return fmt.Errorf("reduce: %w", err)
 	}
+	if res.Acc.Records() == 0 {
+		return fmt.Errorf("no records in input")
+	}
+	return stream.WriteSchema(stdout, schema.Simplify(res.Acc.Finish()), f.format)
 }
 
 func openInput(fs *flag.FlagSet, stdin io.Reader) (io.Reader, func() error, error) {
@@ -104,7 +120,7 @@ func openInput(fs *flag.FlagSet, stdin io.Reader) (io.Reader, func() error, erro
 // runMap folds one shard into an accumulator and writes its sketch. An
 // empty shard is legal (uneven splits may starve a worker) and yields an
 // empty sketch that merges as a no-op.
-func runMap(args []string, stdin io.Reader) error {
+func runMap(args []string, stdin io.Reader, stdout io.Writer) error {
 	fs := flag.NewFlagSet("jxshard map", flag.ContinueOnError)
 	out := fs.String("o", "", "output sketch file (required; - for stdout)")
 	jsonl := fs.Bool("jsonl", false, "treat input as strict JSONL")
@@ -122,70 +138,29 @@ func runMap(args []string, stdin io.Reader) error {
 	}
 	defer closeIn()
 
-	acc := core.NewAccumulator(core.Default())
-	opts := ingest.Options{ChunkSize: *chunk, Workers: *workers, JSONL: *jsonl}
-	if _, err := ingest.Fold(context.Background(), input, opts, acc); err != nil {
-		return fmt.Errorf("map: decoding records: %w", err)
-	}
-	data, err := acc.Marshal()
+	res, err := stream.Run(context.Background(), input, core.Default(), stream.Plan{
+		Options: stream.Options{ChunkSize: *chunk, Workers: *workers, JSONL: *jsonl}})
 	if err != nil {
 		return fmt.Errorf("map: %w", err)
 	}
-	if *out == "-" {
-		_, err := os.Stdout.Write(data)
-		return err
-	}
-	return os.WriteFile(*out, data, 0o644)
+	return stream.WriteSketch(stdout, res.Acc, *out)
 }
 
-// runReduce merges sketch files in argument order — as a parallel tree
-// when -reduce-workers allows — and synthesizes the schema once.
+// runReduce reduces the sketch files named on the command line.
 func runReduce(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("jxshard reduce", flag.ContinueOnError)
-	cfgOf := algoFlags(fs)
-	format := fs.String("format", "pretty",
-		"output: pretty (paper notation), jsonschema, or native")
-	reduceWorkers := fs.Int("reduce-workers", 0,
-		"concurrent sketch-merge workers (0 = one per core, 1 = sequential)")
+	f := newReduceFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	cfg, err := cfgOf()
+	cfg, err := f.config()
 	if err != nil {
 		return err
 	}
 	if fs.NArg() == 0 {
 		return fmt.Errorf("reduce: no sketch files given")
 	}
-	datas := make([][]byte, fs.NArg())
-	for i, path := range fs.Args() {
-		if datas[i], err = os.ReadFile(path); err != nil {
-			return err
-		}
-	}
-	acc, err := reduceSketches(datas, cfg, *reduceWorkers, fs.Args())
-	if err != nil {
-		return err
-	}
-	if acc.Records() == 0 {
-		return fmt.Errorf("reduce: no records in any sketch")
-	}
-	return printSchema(stdout, schema.Simplify(acc.Finish()), *format)
-}
-
-// reduceSketches tree-merges the sketches (byte-identical to a sequential
-// fold at every worker count) and translates a failing file's index back
-// into its name for the error message.
-func reduceSketches(datas [][]byte, cfg core.Config, workers int, names []string) (*core.Accumulator, error) {
-	acc, err := core.ReduceSketches(datas, cfg, workers)
-	if err != nil {
-		var merr *core.SketchMergeError
-		if errors.As(err, &merr) && merr.Index < len(names) {
-			return nil, fmt.Errorf("reduce: %s: %w", names[merr.Index], merr.Err)
-		}
-		return nil, fmt.Errorf("reduce: %w", err)
-	}
-	return acc, nil
+	return f.reduce(stdout, cfg, fs.Args())
 }
 
 // runRun is the single-machine scale-out driver: contiguous streamed
@@ -200,19 +175,15 @@ func reduceSketches(datas [][]byte, cfg core.Config, workers int, names []string
 // i+1.. are still being fed.
 func runRun(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("jxshard run", flag.ContinueOnError)
-	cfgOf := algoFlags(fs)
+	f := newReduceFlags(fs)
 	shards := fs.Int("shards", 4, "number of map worker processes")
 	jsonl := fs.Bool("jsonl", false, "treat input as strict JSONL")
-	format := fs.String("format", "pretty",
-		"output: pretty (paper notation), jsonschema, or native")
 	workers := fs.Int("workers", 0, "decode workers per map process (0 = one per core)")
 	chunk := fs.Int("chunk", 0, "records per ingestion chunk (0 = default 2048)")
-	reduceWorkers := fs.Int("reduce-workers", 0,
-		"concurrent sketch-merge workers (0 = one per core, 1 = sequential)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	cfg, err := cfgOf()
+	cfg, err := f.config()
 	if err != nil {
 		return err
 	}
@@ -255,21 +226,7 @@ func runRun(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-
-	datas := make([][]byte, len(sketches))
-	for i, path := range sketches {
-		if datas[i], err = os.ReadFile(path); err != nil {
-			return err
-		}
-	}
-	acc, err := reduceSketches(datas, cfg, *reduceWorkers, nil)
-	if err != nil {
-		return err
-	}
-	if acc.Records() == 0 {
-		return fmt.Errorf("no records in input")
-	}
-	return printSchema(stdout, schema.Simplify(acc.Finish()), *format)
+	return f.reduce(stdout, cfg, sketches)
 }
 
 // sizedInput returns the input's byte size for quota computation, plus a
@@ -393,26 +350,4 @@ func feedShards(input io.Reader, size int64, n int, jsonl bool, tmp, exe string,
 		return nil, scanErr
 	}
 	return sketches, nil
-}
-
-func printSchema(stdout io.Writer, s schema.Schema, format string) error {
-	switch format {
-	case "pretty":
-		fmt.Fprintln(stdout, s.String())
-	case "jsonschema":
-		data, err := schema.MarshalJSONSchema(s)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, string(data))
-	case "native":
-		data, err := schema.Marshal(s)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, string(data))
-	default:
-		return fmt.Errorf("unknown format %q", format)
-	}
-	return nil
 }

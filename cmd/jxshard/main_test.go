@@ -12,7 +12,9 @@ import (
 	"strings"
 	"testing"
 
+	"jxplain/internal/core"
 	"jxplain/internal/dataset"
+	"jxplain/internal/jsontype"
 )
 
 // TestMain lets the test binary stand in for the jxshard executable: the
@@ -285,6 +287,30 @@ func TestShardRunStreamsInput(t *testing.T) {
 	}
 	if out.Len() == 0 {
 		t.Error("no schema produced")
+	}
+}
+
+// TestMapWritesSketchToStdout checks that `map -o -` writes its sketch to
+// the writer it was given, byte-identical to core's marshal of the same
+// records.
+func TestMapWritesSketchToStdout(t *testing.T) {
+	input := datasetJSONL(t, dataset.GitHub(), 300)
+	var out bytes.Buffer
+	if err := run([]string{"map", "-jsonl", "-o", "-"}, bytes.NewReader(input), &out, &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	}
+	types, err := jsontype.DecodeAll(bytes.NewReader(input))
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc := core.NewAccumulator(core.Default())
+	acc.AddBag(jsontype.NewBag(types...))
+	want, err := acc.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Errorf("map -o - wrote %d bytes, want core's %d-byte sketch", out.Len(), len(want))
 	}
 }
 

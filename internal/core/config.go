@@ -4,11 +4,13 @@
 // heuristics of Section 5) and how many entities a bag of tuples contains
 // (via the Bimax machinery of Section 6).
 //
-// Two equivalent execution strategies are provided: Discover runs the
+// Two execution strategies are provided: Discover runs the
 // straightforward recursive algorithm; Pipeline runs the staged three-pass
 // decomposition of Figure 3 (① collection detection, ② partition-strategy
 // precomputation, ③ synthesis) that the paper uses to parallelize the
-// global heuristics. Both produce identical schemas.
+// global heuristics. Both schemas accept every training record; they are
+// identical only on single-root-entity data (see Pipeline and DESIGN.md
+// §7).
 package core
 
 import (

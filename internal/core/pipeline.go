@@ -11,8 +11,9 @@ import (
 
 // Pipeline runs JXPLAIN as the staged three-pass computation of Figure 3:
 //
-//	pass ① — CollectPathStats walks the data once and fixes, per path,
-//	         whether complex values are tuples or collections;
+//	pass ① — the PathSketch trie, folded as records arrive, fixes per
+//	         path whether complex values are tuples or collections
+//	         (under DetectionSample, CollectPathStats walks a sample);
 //	pass ② — a second walk precomputes, per tuple path, a deterministic
 //	         strategy assigning each observed key set to an entity;
 //	pass ③ — the shared synthesizer replays the walk and assembles the

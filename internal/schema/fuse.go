@@ -17,7 +17,11 @@ import "sort"
 // the entropy heuristics cannot re-run, so fusion never converts between
 // tuples and collections; mixed interpretations coexist in the union.
 //
-// Fuse is commutative and idempotent up to Simplify.
+// Fuse is commutative up to Simplify, but not idempotent: collections of
+// one kind, and all array tuples, fuse, so Fuse(a, a) can widen a union
+// of them — ([[𝕊]]* | [(𝕊)]*) fuses to [(𝕊 | [𝕊])]*. What holds is that
+// Fuse(a, a) accepts everything a accepts, and that f = Fuse(a, a) is a
+// fixpoint: Fuse(f, f) accepts exactly what f accepts.
 func Fuse(a, b Schema) Schema {
 	return Simplify(fuseUnion(collectAlts(a), collectAlts(b)))
 }

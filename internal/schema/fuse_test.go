@@ -137,20 +137,36 @@ func TestFuseCommutativeProperty(t *testing.T) {
 	}
 }
 
-func TestFuseIdempotentProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		a := randomSchema(r, 3)
-		fused := Fuse(a, a)
-		for i := 0; i < 20; i++ {
-			tt := randomTestType(r, 3)
-			if a.Accepts(tt) != fused.Accepts(tt) {
-				return false
-			}
+// fuseSelfHolds checks the two properties Fuse(a, a) does give on a
+// random schema and 20 random types: it accepts everything a accepts, and
+// f = Fuse(a, a) is a fixpoint, Fuse(f, f) accepting exactly what f
+// accepts. Fuse(a, a) may accept more than a (see Fuse's doc).
+func fuseSelfHolds(seed int64) bool {
+	r := rand.New(rand.NewSource(seed))
+	a := randomSchema(r, 3)
+	f := Fuse(a, a)
+	ff := Fuse(f, f)
+	for i := 0; i < 20; i++ {
+		tt := randomTestType(r, 3)
+		if a.Accepts(tt) && !f.Accepts(tt) || f.Accepts(tt) != ff.Accepts(tt) {
+			return false
 		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	return true
+}
+
+// TestFuseIdempotentProperty checks Fuse's idempotence as it holds: on
+// its own output, not on every input.
+func TestFuseIdempotentProperty(t *testing.T) {
+	// Both seeds widen under Fuse(a, a): -5656757905456329850 draws
+	// ([] | [(null | 𝕊), 𝕊]), whose array tuples fuse, and 4863 draws
+	// ([[𝕊]]* | [(𝕊)]*), which fuses to [(𝕊 | [𝕊])]*.
+	for _, seed := range []int64{-5656757905456329850, 4863} {
+		if !fuseSelfHolds(seed) {
+			t.Errorf("seed %d", seed)
+		}
+	}
+	if err := quick.Check(fuseSelfHolds, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }

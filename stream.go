@@ -7,76 +7,17 @@ import (
 
 	"jxplain/internal/core"
 	"jxplain/internal/drift"
-	"jxplain/internal/ingest"
 	"jxplain/internal/jsontype"
 	"jxplain/internal/schema"
+	"jxplain/internal/stream"
 )
 
 // StreamOptions bounds streaming ingestion: records per chunk, decode
 // worker count, input framing, and — for unbounded streams — the
-// sublinear-memory state caps. The zero value picks sensible defaults
-// (2048-record chunks, one worker per core, concatenated-JSON framing,
-// exact state).
-type StreamOptions struct {
-	// ChunkSize is the number of records per chunk (default 2048).
-	ChunkSize int
-	// Workers is the decode worker count (default one per core).
-	Workers int
-	// JSONL frames records as non-blank lines (strict JSONL) instead of
-	// scanning concatenated JSON values; errors then carry line numbers.
-	JSONL bool
-	// MaxRecordBytes caps a single record's size in JSONL mode
-	// (default 64 MiB).
-	MaxRecordBytes int
-
-	// Capacity bounds the distinct-type state to a weighted reservoir of
-	// this many types (core.Bounds.ReservoirCapacity). 0 keeps the exact
-	// union bag.
-	Capacity int
-	// WindowRecords closes a pass-① statistics window every this many
-	// records (core.Bounds.WindowRecords). 0 keeps one cumulative window.
-	WindowRecords int
-	// WindowCount retains this many closed windows in a ring for
-	// decisions (core.Bounds.WindowCount). 0 means no ring.
-	WindowCount int
-	// Decay, when in (0, 1), exponentially ages the retained counters at
-	// every window rotation (core.Bounds.DecayFactor).
-	Decay float64
-}
-
-// ingestOptions projects the decode-pipeline half of the options.
-func (o StreamOptions) ingestOptions() ingest.Options {
-	return ingest.Options{
-		ChunkSize:      o.ChunkSize,
-		Workers:        o.Workers,
-		JSONL:          o.JSONL,
-		MaxRecordBytes: o.MaxRecordBytes,
-	}
-}
-
-// boundedIngestOptions is ingestOptions with the default chunk size
-// capped at the window cadence: an add is atomic with respect to windows
-// (a chunk larger than WindowRecords closes one oversized window per
-// chunk), so with a ring configured the rotation granularity must track
-// the configured cadence, not the decode chunking. An explicit ChunkSize
-// is respected as given.
-func boundedIngestOptions(o StreamOptions, b core.Bounds) ingest.Options {
-	opts := o.ingestOptions()
-	if opts.ChunkSize == 0 && b.WindowRecords > 0 && b.WindowRecords < 2048 {
-		opts.ChunkSize = b.WindowRecords
-	}
-	return opts
-}
-
-// bounds projects the stream-cap half of the options.
-func (o StreamOptions) bounds() core.Bounds {
-	return core.Bounds{
-		ReservoirCapacity: o.Capacity,
-		WindowRecords:     o.WindowRecords,
-		WindowCount:       o.WindowCount,
-		DecayFactor:       o.Decay,
-	}
-}
+// sublinear-memory state caps (Capacity, WindowRecords, WindowCount,
+// Decay). The zero value picks sensible defaults (2048-record chunks, one
+// worker per core, concatenated-JSON framing, exact state).
+type StreamOptions = stream.Options
 
 // Discoverer accumulates records incrementally and derives their schema on
 // demand, without ever materializing the collection: memory tracks the
@@ -133,21 +74,18 @@ func (d *Discoverer) AddType(t *Type) { d.acc.Add(t) }
 // when set, configure the accumulator's core.Bounds. Bounds shape the
 // state itself, so they must be established before any records are
 // folded in; setting them on a non-empty discoverer (or changing them
-// between calls) is an error.
+// between calls) is an error. So are bounds the accumulator would run
+// exact on, as the CLI's flags are: a ring or a decay without
+// WindowRecords, and a decay outside (0, 1).
 func (d *Discoverer) AddStream(ctx context.Context, r io.Reader, opts StreamOptions) (int, error) {
-	if b := opts.bounds(); b != (core.Bounds{}) && b != d.cfg.Bounds {
-		if d.acc.Records() != 0 {
-			return 0, fmt.Errorf("jxplain: stream bounds must be set before any records are added")
-		}
-		d.cfg.Bounds = b
-		d.acc = core.NewAccumulator(d.cfg)
-		d.bindWindowDrift()
+	res, err := stream.Run(ctx, r, d.cfg, stream.Plan{Options: opts, WindowDrift: d.windowFn, Acc: d.acc})
+	if res.Acc != nil {
+		d.acc, d.cfg = res.Acc, res.Cfg
 	}
-	n, err := ingest.Fold(ctx, r, boundedIngestOptions(opts, d.cfg.Bounds), d.acc)
 	if err != nil {
-		return n, fmt.Errorf("jxplain: decoding records: %w", err)
+		return res.Records, fmt.Errorf("jxplain: %w", err)
 	}
-	return n, nil
+	return res.Records, nil
 }
 
 // OnWindowDrift registers fn to receive windowed structural-drift events:
@@ -158,15 +96,11 @@ func (d *Discoverer) AddStream(ctx context.Context, r io.Reader, opts StreamOpti
 // unregisters.
 func (d *Discoverer) OnWindowDrift(fn func(*drift.WindowEvent)) {
 	d.windowFn = fn
-	d.bindWindowDrift()
-}
-
-func (d *Discoverer) bindWindowDrift() {
-	if d.windowFn == nil {
+	if fn == nil {
 		d.acc.OnWindowClose(nil)
 		return
 	}
-	drift.NewWindowMonitor(d.cfg).Bind(d.acc, d.windowFn)
+	drift.NewWindowMonitor(d.cfg).Bind(d.acc, fn)
 }
 
 // MarshalSketch serializes the discoverer's accumulated state — the
@@ -224,14 +158,12 @@ func DiscoverStream(ctx context.Context, r io.Reader, cfg Config) (Schema, error
 }
 
 // DiscoverStreamOpts is DiscoverStream with explicit chunking, worker and
-// framing options.
+// framing options. Its stream caps, when set, replace cfg.Bounds, and
+// the bounds are checked as AddStream checks them.
 func DiscoverStreamOpts(ctx context.Context, r io.Reader, cfg Config, opts StreamOptions) (Schema, error) {
-	if b := opts.bounds(); b != (core.Bounds{}) {
-		cfg.Bounds = b
+	res, err := stream.Run(ctx, r, cfg, stream.Plan{Options: opts})
+	if err != nil {
+		return nil, fmt.Errorf("jxplain: %w", err)
 	}
-	acc := core.NewAccumulator(cfg)
-	if _, err := ingest.Fold(ctx, r, boundedIngestOptions(opts, cfg.Bounds), acc); err != nil {
-		return nil, fmt.Errorf("jxplain: decoding records: %w", err)
-	}
-	return schema.Simplify(acc.Finish()), nil
+	return schema.Simplify(res.Acc.Finish()), nil
 }

@@ -262,3 +262,26 @@ func TestBoundedStreamDiscovery(t *testing.T) {
 		t.Fatalf("config-bounded schema: %v", err)
 	}
 }
+
+// TestStreamBoundsRejected pins that both stream entry points refuse the
+// bounds the CLI refuses (jxplain -ring 4, -window 100 -decay 2), rather
+// than silently running exact on them.
+func TestStreamBoundsRejected(t *testing.T) {
+	ctx := context.Background()
+	for _, opts := range []StreamOptions{
+		{WindowCount: 4},
+		{WindowRecords: 100, Decay: 2},
+		{WindowRecords: 100, Decay: -0.5},
+	} {
+		if _, err := DiscoverStreamOpts(ctx, strings.NewReader(`{"a":1}`), DefaultConfig(), opts); err == nil {
+			t.Errorf("DiscoverStreamOpts accepted %+v", opts)
+		}
+		d := NewDiscoverer(DefaultConfig())
+		if _, err := d.AddStream(ctx, strings.NewReader(`{"a":1}`), opts); err == nil {
+			t.Errorf("AddStream accepted %+v", opts)
+		}
+		if d.Records() != 0 {
+			t.Errorf("%+v: refused stream still added %d records", opts, d.Records())
+		}
+	}
+}
