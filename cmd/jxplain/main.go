@@ -99,6 +99,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := stream.CheckFormat(*format); err != nil {
+		return err
+	}
 	// k-reduce and l-reduce take no Config; the staged extractors do.
 	cfg, err := stream.Config(*algorithm, *threshold, !*noArrayTuples, !*noObjectColls, *seed)
 	staged := err == nil
@@ -141,6 +144,21 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		sampler = stats.StartMemSampler()
 		defer sampler.Stop()
 	}
+	// printStats writes the -stats lines, those about the schema only
+	// when there is one.
+	printStats := func(s schema.Schema) {
+		elapsed := time.Since(start)
+		peak := sampler.Stop()
+		fmt.Fprintf(stderr, "records: %d\n", records)
+		if s != nil {
+			fmt.Fprintf(stderr, "schema nodes: %d\nentities: %d\nschema entropy (log2 types): %.2f\n",
+				schema.Size(s), schema.Entities(s), metrics.SchemaEntropy(s))
+		}
+		fmt.Fprint(stderr, streamStats)
+		fmt.Fprintf(stderr, "elapsed: %s\nthroughput: %.0f records/s\npeak heap: %.1f MiB\n",
+			elapsed.Round(time.Millisecond), float64(records)/elapsed.Seconds(),
+			float64(peak)/(1<<20))
+	}
 
 	if streaming {
 		p := stream.Plan{
@@ -160,9 +178,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		if records = acc.Records(); records == 0 {
 			return fmt.Errorf("no records in input")
 		}
-		if *emitSketch != "" {
-			return stream.WriteSketch(stdout, acc, *emitSketch)
-		}
 		// Read now, so that acc is garbage once the schema is derived.
 		streamStats = fmt.Sprintf("distinct types: %d\n", acc.Distinct())
 		if r := acc.Reservoir(); r != nil {
@@ -171,6 +186,12 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		}
 		if w := acc.WindowsClosed(); w > 0 {
 			streamStats += fmt.Sprintf("windows closed: %d\n", w)
+		}
+		if *emitSketch != "" {
+			if *statsF {
+				printStats(nil)
+			}
+			return stream.WriteSketch(stdout, acc, *emitSketch)
 		}
 		s = acc.Finish()
 	} else {
@@ -206,14 +227,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	s = schema.Simplify(s)
 
 	if *statsF {
-		elapsed := time.Since(start)
-		peak := sampler.Stop()
-		fmt.Fprintf(stderr, "records: %d\nschema nodes: %d\nentities: %d\nschema entropy (log2 types): %.2f\n",
-			records, schema.Size(s), schema.Entities(s), metrics.SchemaEntropy(s))
-		fmt.Fprint(stderr, streamStats)
-		fmt.Fprintf(stderr, "elapsed: %s\nthroughput: %.0f records/s\npeak heap: %.1f MiB\n",
-			elapsed.Round(time.Millisecond), float64(records)/elapsed.Seconds(),
-			float64(peak)/(1<<20))
+		printStats(s)
 	}
 	return stream.WriteSchema(stdout, s, *format)
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -81,6 +82,28 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// failingReader fails every Read, standing in for input that must not be
+// touched.
+type failingReader struct{}
+
+func (failingReader) Read([]byte) (int, error) { return 0, errors.New("input was read") }
+
+// TestFormatCheckedBeforeInput pins that a misspelt -format fails before
+// the first read of the input, on every extractor path.
+func TestFormatCheckedBeforeInput(t *testing.T) {
+	for _, args := range [][]string{
+		{"-format", "bogus"},
+		{"-format", "bogus", "-jsonl"},
+		{"-format", "bogus", "-algorithm", "k-reduce"},
+		{"-format", "bogus", "-iterative", "0.5"},
+	} {
+		err := run(args, failingReader{}, &strings.Builder{}, &strings.Builder{})
+		if err == nil || !strings.Contains(err.Error(), `unknown format "bogus"`) {
+			t.Errorf("%v: err = %v, want the format refused before any read", args, err)
+		}
+	}
+}
+
 func TestRunFromFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "data.jsonl")
 	if err := os.WriteFile(path, []byte(sample), 0o644); err != nil {
@@ -154,6 +177,26 @@ func TestStatsFlag(t *testing.T) {
 	}
 	if strings.Contains(out.String(), "records:") {
 		t.Error("stats leaked into stdout")
+	}
+	// -emit-sketch derives no schema, but prints every line that needs
+	// none.
+	errOut.Reset()
+	sketch := filepath.Join(t.TempDir(), "s.jxsk")
+	if err := run([]string{"-stats", "-emit-sketch", sketch, "-capacity", "16", "-window", "1", "-ring", "2"},
+		strings.NewReader(sample), &out, &errOut); err != nil {
+		t.Fatal(err)
+	}
+	stderr = errOut.String()
+	for _, want := range []string{
+		"records: 2", "distinct types: 2", "reservoir: seen=2", "windows closed: 2",
+		"elapsed:", "throughput:", "peak heap:",
+	} {
+		if !strings.Contains(stderr, want) {
+			t.Errorf("-emit-sketch stats output missing %q:\n%s", want, stderr)
+		}
+	}
+	if strings.Contains(stderr, "schema nodes:") {
+		t.Errorf("-emit-sketch stats output describes a schema:\n%s", stderr)
 	}
 	// The stats path stays quiet without the flag.
 	errOut.Reset()

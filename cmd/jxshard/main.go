@@ -89,7 +89,12 @@ func newReduceFlags(fs *flag.FlagSet) *reduceFlags {
 	return f
 }
 
+// config checks the flags — the output format too, before reduce or run
+// does any work — and returns the extractor's configuration.
 func (f *reduceFlags) config() (core.Config, error) {
+	if err := stream.CheckFormat(f.format); err != nil {
+		return core.Config{}, err
+	}
 	return stream.Config(f.algorithm, f.threshold, !f.noArrayTuples, !f.noObjectColls, f.seed)
 }
 

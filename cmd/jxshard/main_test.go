@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -314,6 +315,12 @@ func TestMapWritesSketchToStdout(t *testing.T) {
 	}
 }
 
+// failingReader fails every Read, standing in for input that must not be
+// touched.
+type failingReader struct{}
+
+func (failingReader) Read([]byte) (int, error) { return 0, errors.New("input was read") }
+
 // TestShardCLIErrors pins the user-facing failure modes.
 func TestShardCLIErrors(t *testing.T) {
 	cases := [][]string{
@@ -327,6 +334,19 @@ func TestShardCLIErrors(t *testing.T) {
 	for _, args := range cases {
 		if err := run(args, bytes.NewReader(nil), &bytes.Buffer{}, &bytes.Buffer{}); err == nil {
 			t.Errorf("args %v: expected error", args)
+		}
+	}
+
+	// A misspelt -format fails before any input or sketch file is read:
+	// run would spool the failing stdin and start map workers, reduce
+	// would read the missing sketch.
+	for _, args := range [][]string{
+		{"run", "-format", "bogus"},
+		{"reduce", "-format", "bogus", filepath.Join(t.TempDir(), "missing.jxsk")},
+	} {
+		err := run(args, failingReader{}, &bytes.Buffer{}, &bytes.Buffer{})
+		if err == nil || !strings.Contains(err.Error(), `unknown format "bogus"`) {
+			t.Errorf("%v: err = %v, want the format refused before any read", args, err)
 		}
 	}
 

@@ -357,3 +357,70 @@ func TestConcurrentDiscoveryDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// oddKeyRecords is a small corpus whose object keys hold path-structural
+// characters (".", "[", "\", "{", and keys that read as wildcard path
+// steps), JSON-escaped characters (quote, "<", ">", "&", control
+// characters, U+2028/U+2029), non-ASCII text and a raw invalid UTF-8
+// byte. It holds the aliasing pair {"a.b": …} / {"a": {"b": …}} in one
+// record and across records, three root entities, optional fields, tuple
+// arrays of objects and an object collection over odd keys.
+func oddKeyRecords() []string {
+	var out []string
+	for i := 0; i < 60; i++ {
+		var rec string
+		switch i % 3 {
+		case 0:
+			rec = fmt.Sprintf(`{"a.b":%d,"a":{"b":"s"},"x[0]":[1,"two"],"{brace}":{"a.b":true,"a":{"b":null}},"q\"uote":"v"`, i)
+			if i%2 == 0 {
+				rec += `,"lt<gt>":"opt"`
+			}
+		case 1:
+			rec = fmt.Sprintf(`{"a":{"b":%d},"amp&":"x","ctl\u0001\n\t":[{"[*]":1,"{*}":2},{"[*]":3}],"ls\u2028ps\u2029":null,"":0`, i)
+			if i%2 == 0 {
+				rec += `,"a.b":{"c.d":[true]}`
+			}
+		default:
+			rec = fmt.Sprintf(`{"back\\slash":true,".":1,"raw`+"\xff"+`byte":"z","é":1,"counts":{"k.%d":%d,"k[%d]":%d,"k\\%d":%d,"{*}%d":%d}`, i, i, i, i, i, i, i, i)
+			if i%2 == 0 {
+				rec += `,"</script>":[1,2,3]`
+			}
+		}
+		out = append(out, rec+"}")
+	}
+	return out
+}
+
+// TestOddKeySchemaBytesPinned pins the native schema bytes of
+// oddKeyRecords through Pipeline + Simplify and through the recursive
+// Discover to SHA-256 hashes. The generators behind the goldens use no
+// such keys, so this is what holds the key escaping of path strings and of
+// the native writer, and the grouping of fields by key, to their bytes.
+func TestOddKeySchemaBytesPinned(t *testing.T) {
+	want := map[string]string{
+		"pipeline": "d056cae674c6b44c9f781dd3f9ca0afae24bce39104f5a24789204397bfdd546",
+		"discover": "d056cae674c6b44c9f781dd3f9ca0afae24bce39104f5a24789204397bfdd546",
+	}
+	var types []*jsontype.Type
+	for _, rec := range oddKeyRecords() {
+		ty, err := jsontype.FromJSON([]byte(rec))
+		if err != nil {
+			t.Fatalf("%s: %v", rec, err)
+		}
+		types = append(types, ty)
+	}
+	cfg := core.Default()
+	for name, s := range map[string]schema.Schema{
+		"pipeline": schema.Simplify(core.PipelineTypes(types, cfg)),
+		"discover": schema.Simplify(core.DiscoverTypes(types, cfg)),
+	} {
+		data, err := schema.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(data)
+		if got := hex.EncodeToString(sum[:]); got != want[name] {
+			t.Errorf("%s: %d schema bytes hash to %s, want %s\n%s", name, len(data), got, want[name], s)
+		}
+	}
+}

@@ -76,6 +76,9 @@ type decider interface {
 	objectDecision(path string, objects *jsontype.Bag) entropy.Decision
 	partitionObjects(path string, objects *jsontype.Bag) []*jsontype.Bag
 	partitionArrays(path string, arrays *jsontype.Bag) []*jsontype.Bag
+	// groupFields groups one entity's objects, a partition of the tuple
+	// objects at path, by key, in key order.
+	groupFields(path string, objects *jsontype.Bag) []fieldGroup
 }
 
 // synthesizer is the shared schema-construction engine (pass ③): it walks
@@ -160,12 +163,11 @@ func (s *synthesizer) mergeObjectColl(path string, bag *jsontype.Bag) schema.Sch
 
 // mergeObjectTuple is Algorithm 3 with path threading.
 func (s *synthesizer) mergeObjectTuple(path string, bag *jsontype.Bag) schema.Schema {
-	keys, groups, present := bag.GroupByKey()
 	total := bag.Len()
 	var required, optional []schema.FieldSchema
-	for i, key := range keys {
-		f := schema.FieldSchema{Key: key, Schema: s.merge(childKeyPath(path, key), groups[i])}
-		if present[i] == total {
+	for _, g := range s.dec.groupFields(path, bag) {
+		f := schema.FieldSchema{Key: g.key, Schema: s.merge(g.path, g.values)}
+		if g.present == total {
 			required = append(required, f)
 		} else {
 			optional = append(optional, f)
@@ -221,6 +223,21 @@ func (d *localDecider) partitionObjects(_ string, objects *jsontype.Bag) []*json
 
 func (d *localDecider) partitionArrays(_ string, arrays *jsontype.Bag) []*jsontype.Bag {
 	return d.partition(arrays)
+}
+
+func (d *localDecider) groupFields(path string, objects *jsontype.Bag) []fieldGroup {
+	return groupByKey(path, objects)
+}
+
+// groupByKey groups a bag's objects by key through Bag.GroupByKey, building
+// each child path.
+func groupByKey(path string, objects *jsontype.Bag) []fieldGroup {
+	keys, groups, present := objects.GroupByKey()
+	out := make([]fieldGroup, len(keys))
+	for i, key := range keys {
+		out[i] = fieldGroup{key: key, path: childKeyPath(path, key), values: groups[i], present: present[i]}
+	}
+	return out
 }
 
 // partition splits a bag by the §6.4 deep path sets of its types,

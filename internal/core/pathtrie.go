@@ -1,6 +1,10 @@
 package core
 
 import (
+	"math/bits"
+	"slices"
+	"sort"
+
 	"jxplain/internal/entity"
 	"jxplain/internal/entropy"
 	"jxplain/internal/jsontype"
@@ -15,20 +19,26 @@ import (
 // walk's scratch words.
 //
 // The pipeline builds one trie per Finish over the global decision map
-// (pass ② walks its nodes and pass ③ partitions at them); the recursive
-// Discover builds one per partition point, rooted at "" over that bag's
-// own decisions. A trie is single-goroutine: nodes carry the scratch
-// numbering of the partition point being walked.
+// (pass ② walks its nodes and pass ③ partitions and groups at them); the
+// recursive Discover builds one per partition point, rooted at "" over
+// that bag's own decisions. A trie is single-goroutine: nodes carry the
+// scratch numbering of the partition point being walked.
 type pathTrie struct {
 	decisions map[string]pathDecision
 	stamp     uint32      // numbers the partition point being walked
 	features  []*pathNode // its features, by id
 	words     []uint64    // the current type's feature set, normalized
+	// fieldIDs holds, after featureSets or fieldChildren, the feature id
+	// of the child of every field of every object type of the bag, in type
+	// then field order; indexFields turns it into ranks and keeps it.
+	fieldIDs []int32
+	remap    []int32 // indexFields' scratch: feature id -> rank
 }
 
 // pathNode is one distinct absolute path.
 type pathNode struct {
 	path string
+	key  string // the object key below the parent, on a keyed child
 	dec  pathDecision
 	hash uint64 // FNV-1a of path, continued from the parent's
 
@@ -36,10 +46,21 @@ type pathNode struct {
 	positions []*pathNode          // tuple-array positions
 
 	objPlan, arrPlan *partitionPlan // pass ② (pipeline only)
+	fields           *fieldIndex    // pass ② at an object-tuple node (pipeline only)
 
 	// Feature id within the partition point numbered stamp.
 	stamp uint32
 	local int
+}
+
+// fieldIndex is what pass ② records at an object-tuple node so that no
+// later grouping hashes a key: the node's keyed children in key order, and
+// for each distinct object type of its bag, the rank of each of its fields
+// in that order, at ranks[at[type id]:].
+type fieldIndex struct {
+	byKey []*pathNode
+	at    map[uint64]int32
+	ranks []int32
 }
 
 const (
@@ -73,6 +94,7 @@ func (tr *pathTrie) key(n *pathNode, key string) *pathNode {
 			n.keys = map[string]*pathNode{}
 		}
 		c = tr.below(n, childKeyPath(n.path, key))
+		c.key = key
 		n.keys[key] = c
 	}
 	return c
@@ -112,16 +134,26 @@ type featureSets struct {
 	features   []*pathNode // by feature id; the trie's, until its next walk
 }
 
-// featureSets walks every distinct type of bag below n. Sets are
+// featureSets walks every distinct type of bag below n, leaving the
+// feature id of each object field it starts from in fieldIDs. Sets are
 // deduplicated by a hash of their words, confirmed with KeySet.Equal.
 func (tr *pathTrie) featureSets(n *pathNode, bag *jsontype.Bag) featureSets {
 	tr.stamp++
 	tr.features = tr.features[:0]
+	tr.resetFieldIDs(bag)
 	var fs featureSets
 	first := make(map[uint64]int, bag.Distinct()) // words hash -> a set with it
 	for ti, t := range bag.Types() {
 		tr.words = tr.words[:0]
-		tr.addFeatures(n, t)
+		if t.Kind() == jsontype.KindObject {
+			for _, f := range t.Fields() {
+				c := tr.key(n, f.Key)
+				tr.addFeature(c, f.Type)
+				tr.fieldIDs = append(tr.fieldIDs, int32(c.local))
+			}
+		} else {
+			tr.addFeatures(n, t)
+		}
 		ks := entity.KeySet(tr.words)
 		h := hashWords(ks)
 		si, ok := first[h]
@@ -163,10 +195,7 @@ func (tr *pathTrie) addFeatures(n *pathNode, t *jsontype.Type) {
 }
 
 func (tr *pathTrie) addFeature(c *pathNode, t *jsontype.Type) {
-	if c.stamp != tr.stamp {
-		c.stamp, c.local = tr.stamp, len(tr.features)
-		tr.features = append(tr.features, c)
-	}
+	tr.number(c)
 	w := c.local / 64
 	for len(tr.words) <= w {
 		tr.words = append(tr.words, 0)
@@ -175,6 +204,144 @@ func (tr *pathTrie) addFeature(c *pathNode, t *jsontype.Type) {
 	if !c.collection(t.Kind()) {
 		tr.addFeatures(c, t)
 	}
+}
+
+// number gives c the next feature id of the walk, once.
+func (tr *pathTrie) number(c *pathNode) {
+	if c.stamp != tr.stamp {
+		c.stamp, c.local = tr.stamp, len(tr.features)
+		tr.features = append(tr.features, c)
+	}
+}
+
+// fieldChildren numbers the child of every field of every object type of
+// bag below n, leaving fieldIDs as featureSets does, for a node no feature
+// walk starts from.
+func (tr *pathTrie) fieldChildren(n *pathNode, bag *jsontype.Bag) {
+	tr.stamp++
+	tr.features = tr.features[:0]
+	tr.resetFieldIDs(bag)
+	for _, t := range bag.Types() {
+		for _, f := range t.Fields() {
+			c := tr.key(n, f.Key)
+			tr.number(c)
+			tr.fieldIDs = append(tr.fieldIDs, int32(c.local))
+		}
+	}
+}
+
+// resetFieldIDs empties fieldIDs, with room for every field of bag.
+func (tr *pathTrie) resetFieldIDs(bag *jsontype.Bag) {
+	fields := 0
+	for _, t := range bag.Types() {
+		fields += len(t.Fields())
+	}
+	tr.fieldIDs = slices.Grow(tr.fieldIDs[:0], fields)
+}
+
+// indexFields builds n's field index over bag, its objects, from the
+// feature ids fieldIDs holds for their fields, and takes fieldIDs over
+// as the index's ranks.
+func (tr *pathTrie) indexFields(n *pathNode, bag *jsontype.Bag) {
+	ix := &fieldIndex{at: make(map[uint64]int32, bag.Distinct()), ranks: tr.fieldIDs}
+	tr.fieldIDs = nil
+	remap := slices.Grow(tr.remap[:0], len(tr.features))[:len(tr.features)]
+	for i := range remap {
+		remap[i] = -1
+	}
+	for _, id := range ix.ranks {
+		if remap[id] < 0 {
+			remap[id] = 0
+			ix.byKey = append(ix.byKey, tr.features[id])
+		}
+	}
+	sort.Slice(ix.byKey, func(i, j int) bool { return ix.byKey[i].key < ix.byKey[j].key })
+	for r, c := range ix.byKey {
+		remap[c.local] = int32(r)
+	}
+	for k, id := range ix.ranks {
+		ix.ranks[k] = remap[id]
+	}
+	k := 0
+	for _, t := range bag.Types() {
+		ix.at[t.ID()] = int32(k)
+		k += len(t.Fields())
+	}
+	n.fields, tr.remap = ix, remap
+}
+
+// fieldGroup is the values one key holds across a bag of tuple objects:
+// the key, its child path (and node, where pass ② indexed the parent),
+// the bag of values and the number of records holding the key.
+type fieldGroup struct {
+	key, path string
+	node      *pathNode
+	values    *jsontype.Bag
+	present   int
+}
+
+// fieldGrouper groups a bag's fields by the ranks of a field index,
+// through slots it reuses from one grouping to the next.
+type fieldGrouper struct {
+	slots []fieldSlot // by rank
+	used  []uint64    // bitset of the ranks holding values
+}
+
+// fieldSlot gathers one key's values; values is nil until one lands.
+type fieldSlot struct {
+	values  *jsontype.Bag
+	present int
+}
+
+// group returns the field groups of bag, a sub-bag of the objects ix was
+// built over, in key order; ok is false when bag holds a type ix has no
+// ranks for. complexOnly leaves out primitive values, which pass ② does
+// not descend into.
+func (g *fieldGrouper) group(ix *fieldIndex, bag *jsontype.Bag, complexOnly bool) (groups []fieldGroup, ok bool) {
+	if len(g.slots) < len(ix.byKey) {
+		g.slots = make([]fieldSlot, len(ix.byKey))
+		g.used = make([]uint64, (len(ix.byKey)+63)/64)
+	}
+	used := 0
+	ok = true
+	for ti, t := range bag.Types() {
+		at, found := ix.at[t.ID()]
+		if !found {
+			ok = false
+			break
+		}
+		ranks, n := ix.ranks[at:], bag.Count(ti)
+		for j, f := range t.Fields() {
+			if complexOnly && f.Type.Kind().Primitive() {
+				continue
+			}
+			r := ranks[j]
+			s := &g.slots[r]
+			if s.values == nil {
+				s.values = &jsontype.Bag{}
+				g.used[r/64] |= 1 << (r % 64)
+				used++
+			}
+			s.values.AddN(f.Type, n)
+			s.present += n
+		}
+	}
+	if ok {
+		groups = make([]fieldGroup, 0, used)
+	}
+	for w, word := range g.used[:(len(ix.byKey)+63)/64] {
+		for ; word != 0; word &= word - 1 {
+			r := w*64 + bits.TrailingZeros64(word)
+			if ok {
+				c := ix.byKey[r]
+				s := g.slots[r]
+				groups = append(groups, fieldGroup{key: c.key, path: c.path, node: c, values: s.values, present: s.present})
+			}
+			g.slots[r] = fieldSlot{}
+		}
+		g.used[w] = 0
+	}
+	return groups, ok
 }
 
 func hashWords(ks entity.KeySet) uint64 {

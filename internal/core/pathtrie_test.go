@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -203,5 +204,85 @@ func TestFinishAllocationsQuadraticInDepth(t *testing.T) {
 			t.Errorf("Finish allocates %d B at depth %d and %d B at depth %d: %.2f×, want at most 4.5×",
 				small, d, large, 2*d, ratio)
 		}
+	}
+}
+
+// requireSameGroups checks a rank grouping against groupByKey's: keys,
+// child paths, presence counts, and the value bags' types and counts in
+// order, which later feature walks and the memo's bag hashes depend on.
+func requireSameGroups(t *testing.T, label string, got, want []fieldGroup) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d groups, GroupByKey has %d", label, len(got), len(want))
+	}
+	for i, g := range got {
+		w := want[i]
+		if g.key != w.key || g.path != w.path || g.present != w.present || g.node == nil || g.node.path != w.path {
+			t.Fatalf("%s: group %d is %q at %q (present %d), GroupByKey's %q at %q (present %d)",
+				label, i, g.key, g.path, g.present, w.key, w.path, w.present)
+		}
+		if !reflect.DeepEqual(g.values.Types(), w.values.Types()) {
+			t.Fatalf("%s: key %q holds types %v, GroupByKey's %v", label, g.key, g.values.Types(), w.values.Types())
+		}
+		for ti := range g.values.Types() {
+			if g.values.Count(ti) != w.values.Count(ti) {
+				t.Fatalf("%s: key %q type %d counts %d, GroupByKey's %d", label, g.key, ti, g.values.Count(ti), w.values.Count(ti))
+			}
+		}
+	}
+}
+
+// TestFieldGroupsMatchGroupByKey pins the rank grouping of passes ② and ③
+// to Bag.GroupByKey at every object-tuple path pass ② indexed, over the
+// path's whole bag and over each entity pass ③ partitions it into. A bag
+// holding a type the index never saw is refused and leaves the grouper's
+// slots clean for the next grouping.
+func TestFieldGroupsMatchGroupByKey(t *testing.T) {
+	type input struct {
+		name string
+		bag  *jsontype.Bag
+	}
+	var inputs []input
+	for _, g := range append(dataset.Registry(), dataset.WideRegistry()...) {
+		inputs = append(inputs, input{g.Name, bagOf(dataset.Types(g.Generate(300, 3)))})
+	}
+	inputs = append(inputs, input{"dotted-keys", dottedKeyBag(t)})
+	cfg := Default()
+	for _, in := range inputs {
+		decisions := decisionMap(CollectPathStats(in.bag, cfg))
+		d := &pipelineDecider{cfg: cfg, decisions: decisions, trie: &pathTrie{decisions: decisions}, nodes: map[string]*pathNode{}}
+		d.collectPlans(d.trie.root(RootPath), in.bag)
+		points := 0
+		visitPlanPoints(d, RootPath, in.bag, func(path string, k jsontype.Kind, values *jsontype.Bag) {
+			if k != jsontype.KindObject {
+				return
+			}
+			points++
+			n := d.nodes[path]
+			if n == nil || n.fields == nil {
+				t.Fatalf("%s: pass ② did not index %s", in.name, path)
+			}
+			for pi, part := range append([]*jsontype.Bag{values}, d.partitionObjects(path, values)...) {
+				got, ok := d.grouper.group(n.fields, part, false)
+				if !ok {
+					t.Fatalf("%s %s: part %d refused", in.name, path, pi)
+				}
+				requireSameGroups(t, fmt.Sprintf("%s %s part %d", in.name, path, pi), got, groupByKey(path, part))
+			}
+		})
+		if points == 0 {
+			t.Fatalf("%s: no object-tuple path", in.name)
+		}
+
+		root := d.nodes[RootPath]
+		_, _, objects := in.bag.SplitKinds()
+		foreign := &jsontype.Bag{}
+		objects.Each(func(ty *jsontype.Type, n int) { foreign.AddN(ty, n) })
+		foreign.Add(ty(t, `{"a key no record holds":[1,2]}`))
+		if _, ok := d.grouper.group(root.fields, foreign, false); ok {
+			t.Fatalf("%s: a type the index never saw was grouped", in.name)
+		}
+		got, _ := d.grouper.group(root.fields, objects, false)
+		requireSameGroups(t, in.name+" after a refusal", got, groupByKey(RootPath, objects))
 	}
 }

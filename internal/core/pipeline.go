@@ -15,9 +15,17 @@ import (
 //	         path whether complex values are tuples or collections
 //	         (under DetectionSample, CollectPathStats walks a sample);
 //	pass ② — a second walk precomputes, per tuple path, a deterministic
-//	         strategy assigning each observed key set to an entity;
+//	         strategy assigning each observed key set to an entity, and,
+//	         per object-tuple path, the rank of each field of each
+//	         distinct object type among the path's keys in key order;
 //	pass ③ — the shared synthesizer replays the walk and assembles the
-//	         schema, consulting only the precomputed decisions.
+//	         schema, consulting only the precomputed decisions, and
+//	         groups each entity's fields by pass ②'s ranks.
+//
+// Both walks descend through the path trie (pathtrie.go). A field
+// occurrence's key is hashed only by the feature walks that cross it (on
+// flat records, one), which find its child node; grouping by rank hashes
+// no key, sorts no keys and builds no child path.
 //
 // The paper decomposes JXPLAIN this way because the heuristics need global
 // visibility, breaking the associative-fold structure that lets K-reduction
@@ -280,6 +288,7 @@ type pipelineDecider struct {
 	decisions map[string]pathDecision
 	trie      *pathTrie
 	nodes     map[string]*pathNode // the paths pass ② walked, and pass ③'s fallbacks
+	grouper   fieldGrouper
 }
 
 func (d *pipelineDecider) arrayDecision(path string, arrays *jsontype.Bag) entropy.Decision {
@@ -343,8 +352,23 @@ func (d *pipelineDecider) partitionWithPlan(n *pathNode, plan *partitionPlan, ba
 	return groupByAssignment(bag, typesBySet, assignment)
 }
 
+// groupFields groups an entity's objects by key through the field index
+// pass ② built at path. A path pass ② did not index, or a type it did not
+// see there, is grouped by key; neither happens when pass ① saw the bag
+// pass ② walks.
+func (d *pipelineDecider) groupFields(path string, objects *jsontype.Bag) []fieldGroup {
+	if n := d.nodes[path]; n != nil && n.fields != nil {
+		if groups, ok := d.grouper.group(n.fields, objects, false); ok {
+			return groups
+		}
+	}
+	return groupByKey(path, objects)
+}
+
 // collectPlans is pass ②: walk the data along the pass-① decisions and,
-// at every tuple path, precompute the key-set → entity assignment.
+// at every tuple path, precompute the key-set → entity assignment. At an
+// object-tuple path it also indexes the fields, from the child lookups the
+// feature walk made, and groups them by that index to descend.
 func (d *pipelineDecider) collectPlans(n *pathNode, bag *jsontype.Bag) {
 	d.nodes[n.path] = n
 	_, arrays, objects := bag.SplitKinds()
@@ -367,10 +391,13 @@ func (d *pipelineDecider) collectPlans(n *pathNode, bag *jsontype.Bag) {
 				d.collectPlans(d.node(objectValuePath(n.path)), values)
 			}
 		} else {
-			n.objPlan = d.buildPlan(n, jsontype.KindObject, objects)
-			keys, groups, _ := objects.GroupByKey()
-			for i, key := range keys {
-				d.collectPlans(d.trie.key(n, key), groups[i])
+			if n.objPlan = d.buildPlan(n, jsontype.KindObject, objects); n.objPlan == nil {
+				d.trie.fieldChildren(n, objects) // no feature walk made the lookups
+			}
+			d.trie.indexFields(n, objects)
+			groups, _ := d.grouper.group(n.fields, objects, true)
+			for _, g := range groups {
+				d.collectPlans(g.node, g.values)
 			}
 		}
 	}

@@ -12,12 +12,18 @@ import "sort"
 type Bag struct {
 	types  []*Type
 	counts []int
-	// index maps intern id -> position in types. It is built by the
-	// first AddN, so a sub-bag built by AddDistinct hashes no type unless
-	// something adds to it later; until then it is nil.
+	// index maps intern id -> position in types. It is nil while the bag
+	// holds at most indexAt distinct types, which AddN finds by scanning;
+	// the AddN that finds more builds it. So a sub-bag built by
+	// AddDistinct hashes no type unless something adds to it later.
 	index map[uint64]int
 	total int
 }
+
+// indexAt is the most distinct types a bag finds by scanning. Most bags
+// that grouping builds hold a key's or a position's values, one or two
+// distinct types, where a scan beats building and probing a map.
+const indexAt = 8
 
 // NewBag returns a bag containing the given types (each with
 // multiplicity 1 per occurrence).
@@ -41,22 +47,40 @@ func (b *Bag) AddN(t *Type, n int) {
 	if n <= 0 {
 		panic("jsontype: Bag.AddN with non-positive count")
 	}
-	if b.index == nil {
+	if b.index == nil && len(b.types) > indexAt {
 		b.buildIndex()
 	}
-	if i, ok := b.index[t.ID()]; ok {
+	if i, ok := b.find(t); ok {
 		b.counts[i] += n
-	} else {
-		b.index[t.ID()] = len(b.types)
-		b.types = append(b.types, t)
-		b.counts = append(b.counts, n)
+		b.total += n
+		return
 	}
-	b.total += n
+	b.AddDistinct(t, n)
+	if b.index == nil && len(b.types) > indexAt {
+		b.buildIndex()
+	}
+}
+
+// find returns t's position in types: through the index, or by a scan
+// while there is none.
+//
+//jx:hotpath
+func (b *Bag) find(t *Type) (int, bool) {
+	if b.index != nil {
+		i, ok := b.index[t.ID()]
+		return i, ok
+	}
+	for i, u := range b.types {
+		if u.ID() == t.ID() {
+			return i, true
+		}
+	}
+	return 0, false
 }
 
 // buildIndex indexes the distinct types b already holds.
 //
-//jx:coldpath runs once per bag, on its first AddN
+//jx:coldpath runs once per bag, when it outgrows indexAt distinct types
 func (b *Bag) buildIndex() {
 	b.index = make(map[uint64]int, len(b.types))
 	for i, t := range b.types {
@@ -68,6 +92,8 @@ func (b *Bag) buildIndex() {
 // builds a sub-bag of a deduplicated bag — each of whose types is
 // distinct already — without hashing a type; AddN on the result still
 // finds every type AddDistinct put there. n must be positive.
+//
+//jx:hotpath
 func (b *Bag) AddDistinct(t *Type, n int) {
 	if n <= 0 {
 		panic("jsontype: Bag.AddDistinct with non-positive count")
@@ -116,15 +142,7 @@ func (b *Bag) Count(i int) int { return b.counts[i] }
 // CountOf returns the multiplicity of t (0 if absent). A bag no AddN has
 // indexed yet is scanned.
 func (b *Bag) CountOf(t *Type) int {
-	if b.index == nil {
-		for i, u := range b.types {
-			if u.ID() == t.ID() {
-				return b.counts[i]
-			}
-		}
-		return 0
-	}
-	if i, ok := b.index[t.ID()]; ok {
+	if i, ok := b.find(t); ok {
 		return b.counts[i]
 	}
 	return 0
@@ -183,31 +201,38 @@ func (b *Bag) FieldValues() *Bag {
 // bag of types found under that key, plus the number of records containing
 // the key. Keys are returned in sorted order for determinism.
 func (b *Bag) GroupByKey() (keys []string, groups []*Bag, present []int) {
-	byKey := map[string]*Bag{}
-	presentBy := map[string]int{}
+	at := map[string]int{} // key -> its position in keys, groups and present
 	for i, t := range b.types {
 		for _, f := range t.Fields() {
-			g := byKey[f.Key]
-			if g == nil {
-				g = &Bag{}
-				byKey[f.Key] = g
+			j, ok := at[f.Key]
+			if !ok {
+				j = len(keys)
+				at[f.Key] = j
+				keys = append(keys, f.Key)
+				groups = append(groups, &Bag{})
+				present = append(present, 0)
 			}
-			g.AddN(f.Type, b.counts[i])
-			presentBy[f.Key] += b.counts[i]
+			groups[j].AddN(f.Type, b.counts[i])
+			present[j] += b.counts[i]
 		}
 	}
-	keys = make([]string, 0, len(byKey))
-	for k := range byKey {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	groups = make([]*Bag, len(keys))
-	present = make([]int, len(keys))
-	for i, k := range keys {
-		groups[i] = byKey[k]
-		present[i] = presentBy[k]
-	}
+	sort.Sort(keyGroups{keys, groups, present})
 	return keys, groups, present
+}
+
+// keyGroups sorts GroupByKey's three parallel slices by key.
+type keyGroups struct {
+	keys    []string
+	groups  []*Bag
+	present []int
+}
+
+func (g keyGroups) Len() int           { return len(g.keys) }
+func (g keyGroups) Less(i, j int) bool { return g.keys[i] < g.keys[j] }
+func (g keyGroups) Swap(i, j int) {
+	g.keys[i], g.keys[j] = g.keys[j], g.keys[i]
+	g.groups[i], g.groups[j] = g.groups[j], g.groups[i]
+	g.present[i], g.present[j] = g.present[j], g.present[i]
 }
 
 // GroupByIndex returns, for each array position occurring in any array of

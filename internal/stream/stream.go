@@ -186,10 +186,24 @@ func Config(algorithm string, threshold float64, arrayTuples, objectColls bool, 
 	return cfg, nil
 }
 
+// CheckFormat refuses a schema format WriteSchema cannot write. The CLIs
+// call it right after parsing their flags, so that a misspelt -format
+// fails before any input is read.
+func CheckFormat(format string) error {
+	switch format {
+	case "pretty", "jsonschema", "native":
+		return nil
+	}
+	return fmt.Errorf("unknown format %q", format)
+}
+
 // WriteSchema writes s to w as one line in format: pretty (the paper's
 // notation), jsonschema (a json-schema.org document) or native (the
 // round-trip encoding).
 func WriteSchema(w io.Writer, s schema.Schema, format string) error {
+	if err := CheckFormat(format); err != nil {
+		return err
+	}
 	var data []byte
 	var err error
 	switch format {
@@ -199,13 +213,15 @@ func WriteSchema(w io.Writer, s schema.Schema, format string) error {
 		data, err = schema.MarshalJSONSchema(s)
 	case "native":
 		data, err = schema.Marshal(s)
-	default:
-		return fmt.Errorf("unknown format %q", format)
 	}
 	if err != nil {
 		return err
 	}
-	_, err = w.Write(append(data, '\n'))
+	// Two writes: schema.Marshal's buffer has no room for the newline.
+	if _, err = w.Write(data); err != nil {
+		return err
+	}
+	_, err = io.WriteString(w, "\n")
 	return err
 }
 
