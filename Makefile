@@ -48,14 +48,14 @@ cover:
 	$(GO) test ./... -coverprofile=cover.out
 	$(GO) tool cover -func=cover.out | tail -1
 
-# The sketch targets bound minimization as CI does: their 10,001-level
-# seeds make every replay of a new input slow, so an unbounded minimize
-# would take most of the run.
+# The value-framing and sketch targets bound minimization as CI does:
+# their 10,001-level seeds make every replay of a new input slow, so an
+# unbounded minimize would take most of the run.
 fuzz:
 	$(GO) test -fuzz FuzzFromJSON -fuzztime 30s ./internal/jsontype/
-	$(GO) test -fuzz FuzzDecodeAll -fuzztime 30s ./internal/jsontype/
 	$(GO) test -fuzz FuzzScan -fuzztime 30s ./internal/jsontype/
 	$(GO) test -fuzz FuzzLineFraming -fuzztime 30s ./internal/ingest/
+	$(GO) test -fuzz FuzzValueFraming -fuzztime 30s -fuzzminimizetime 1s ./internal/ingest/
 	$(GO) test -fuzz FuzzKeySet -fuzztime 30s ./internal/entity/
 	$(GO) test -fuzz FuzzWeightedVsReplicated -fuzztime 30s ./internal/entity/
 	$(GO) test -fuzz FuzzBimaxMatchesRef -fuzztime 30s ./internal/entity/

@@ -9,6 +9,7 @@ package jxplain
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -17,6 +18,7 @@ import (
 	"jxplain/internal/entity"
 	"jxplain/internal/entropy"
 	"jxplain/internal/experiments"
+	"jxplain/internal/ingest"
 	"jxplain/internal/jsontype"
 	"jxplain/internal/merge"
 	"jxplain/internal/metrics"
@@ -289,9 +291,9 @@ func BenchmarkSchemaEntropy(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeLines compares the streaming decoder with the parallel
-// JSONL line decoder.
-func BenchmarkDecodeLines(b *testing.B) {
+// BenchmarkTypes reads JSONL records in order through ingest.Types, framed
+// as concatenated JSON values and as lines.
+func BenchmarkTypes(b *testing.B) {
 	g, _ := dataset.ByName("twitter")
 	var buf strings.Builder
 	enc := json.NewEncoder(&buf)
@@ -302,22 +304,16 @@ func BenchmarkDecodeLines(b *testing.B) {
 	}
 	data := buf.String()
 	b.SetBytes(int64(len(data)))
-	b.Run("stream", func(b *testing.B) {
-		b.SetBytes(int64(len(data)))
-		for i := 0; i < b.N; i++ {
-			if _, err := jsontype.DecodeAll(strings.NewReader(data)); err != nil {
-				b.Fatal(err)
+	for _, jsonl := range []bool{false, true} {
+		b.Run(fmt.Sprintf("jsonl=%v", jsonl), func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			for i := 0; i < b.N; i++ {
+				if _, err := ingest.Types(strings.NewReader(data), ingest.Options{JSONL: jsonl}); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("lines-parallel", func(b *testing.B) {
-		b.SetBytes(int64(len(data)))
-		for i := 0; i < b.N; i++ {
-			if _, err := jsontype.DecodeLines(strings.NewReader(data), 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkCollectionDetection measures Algorithm 5 over a pharma-style

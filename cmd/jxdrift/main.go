@@ -18,7 +18,7 @@ import (
 	"os"
 
 	"jxplain/internal/drift"
-	"jxplain/internal/jsontype"
+	"jxplain/internal/ingest"
 	"jxplain/internal/schema"
 )
 
@@ -60,7 +60,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (int, error) {
 		defer f.Close()
 		input = f
 	}
-	types, err := jsontype.DecodeAll(input)
+	types, err := ingest.Types(input, ingest.Options{})
 	if err != nil {
 		return 2, fmt.Errorf("decoding records: %w", err)
 	}

@@ -11,11 +11,12 @@
 // the native round-trip encoding (-format native) consumable by
 // jxvalidate.
 //
-// The JXPLAIN algorithms ingest the input as a bounded-memory stream:
-// records are decoded in chunks by a worker pool (-workers, -chunk) and
-// folded into mergeable sketches, so arbitrarily large inputs never
-// materialize in memory. -stats reports throughput and peak heap
-// alongside the schema statistics.
+// Records are decoded in chunks by a worker pool (-workers, -chunk); only
+// -iterative, which samples records, reads them one by one in order. The
+// JXPLAIN algorithms fold the chunks into mergeable sketches, so
+// arbitrarily large inputs never materialize in memory; k-reduce and
+// l-reduce merge them into one bag of distinct types. -stats reports
+// throughput and peak heap alongside the schema statistics.
 //
 // For streams whose *distinct structure* itself grows without bound,
 // -capacity caps the retained types in a weighted reservoir, -window and
@@ -42,6 +43,7 @@ import (
 
 	"jxplain/internal/core"
 	"jxplain/internal/drift"
+	"jxplain/internal/ingest"
 	"jxplain/internal/jsontype"
 	"jxplain/internal/merge"
 	"jxplain/internal/metrics"
@@ -195,19 +197,24 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		}
 		s = acc.Finish()
 	} else {
+		in := ingest.Options{ChunkSize: *chunk, Workers: *workers, JSONL: *jsonl}
 		var types []*jsontype.Type
-		if *jsonl {
-			types, err = jsontype.DecodeLines(input, *workers)
+		bag := &jsontype.Bag{}
+		if iterate {
+			types, err = ingest.Types(input, in)
+			records = len(types)
 		} else {
-			types, err = jsontype.DecodeAll(input)
+			records, err = ingest.Each(context.Background(), input, in, func(c ingest.Chunk) error {
+				bag.Merge(c.Bag)
+				return nil
+			})
 		}
 		if err != nil {
 			return fmt.Errorf("decoding records: %w", err)
 		}
-		if len(types) == 0 {
+		if records == 0 {
 			return fmt.Errorf("no records in input")
 		}
-		records = len(types)
 
 		switch {
 		case iterate:
@@ -219,9 +226,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 					report.SampleSizes[len(report.SampleSizes)-1], len(types))
 			}
 		case *algorithm == "k-reduce":
-			s = merge.FoldK(types, 0)
+			s = merge.K(bag)
 		default: // l-reduce
-			s = merge.Naive(jsontype.NewBag(types...))
+			s = merge.Naive(bag)
 		}
 	}
 	s = schema.Simplify(s)

@@ -3,10 +3,12 @@ package main
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 const sample = `
@@ -100,6 +102,31 @@ func TestFormatCheckedBeforeInput(t *testing.T) {
 		err := run(args, failingReader{}, &strings.Builder{}, &strings.Builder{})
 		if err == nil || !strings.Contains(err.Error(), `unknown format "bogus"`) {
 			t.Errorf("%v: err = %v, want the format refused before any read", args, err)
+		}
+	}
+}
+
+// TestMalformedInputIsNotTruncated pins that no read path takes a read
+// error or a stray closing bracket for the end of concatenated input: a
+// reader that fails after two records fails the run with its error, and a
+// second record that is a closing bracket fails naming record 2.
+func TestMalformedInputIsNotTruncated(t *testing.T) {
+	errDisk := errors.New("disk gone")
+	for _, args := range [][]string{nil, {"-jsonl"}, {"-algorithm", "k-reduce"}, {"-iterative", "0.5"}} {
+		input := io.MultiReader(strings.NewReader("{\"a\":1}\n{\"a\":2}\n"), iotest.ErrReader(errDisk))
+		var out strings.Builder
+		if err := run(args, input, &out, &strings.Builder{}); !errors.Is(err, errDisk) || out.Len() > 0 {
+			t.Errorf("%v, failing reader: err = %v, output %q; want %v and no output", args, err, out.String(), errDisk)
+		}
+		if args != nil && args[0] == "-jsonl" {
+			continue
+		}
+		for _, input := range []string{`{"a":1} ] {"b":2}`, `{"a":1} } x`} {
+			var out strings.Builder
+			err := runOut(args, input, &out)
+			if err == nil || !strings.Contains(err.Error(), "record 2: ") || out.Len() > 0 {
+				t.Errorf("%v, %q: err = %v, output %q; want record 2 named and no output", args, input, err, out.String())
+			}
 		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 
 	"jxplain/internal/core"
 	"jxplain/internal/dataset"
+	"jxplain/internal/ingest"
 	"jxplain/internal/jsontype"
 )
 
@@ -300,7 +301,7 @@ func TestMapWritesSketchToStdout(t *testing.T) {
 	if err := run([]string{"map", "-jsonl", "-o", "-"}, bytes.NewReader(input), &out, &bytes.Buffer{}); err != nil {
 		t.Fatal(err)
 	}
-	types, err := jsontype.DecodeAll(bytes.NewReader(input))
+	types, err := ingest.Types(bytes.NewReader(input), ingest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

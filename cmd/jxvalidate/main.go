@@ -18,7 +18,7 @@ import (
 	"io"
 	"os"
 
-	"jxplain/internal/jsontype"
+	"jxplain/internal/ingest"
 	"jxplain/internal/metrics"
 	"jxplain/internal/schema"
 )
@@ -61,7 +61,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (int, error) {
 		defer f.Close()
 		input = f
 	}
-	types, err := jsontype.DecodeAll(input)
+	types, err := ingest.Types(input, ingest.Options{})
 	if err != nil {
 		return 2, fmt.Errorf("decoding records: %w", err)
 	}

@@ -9,20 +9,19 @@ import (
 	"slices"
 )
 
-// readSize is the most the JSONL framer reads at once. A chunk is cut
-// inside its last read, so at most this many bytes move from one block to
-// the next.
+// readSize is the most the framer reads at once. A chunk is cut inside
+// its last read, so at most this many bytes move from one block to the
+// next.
 const readSize = 64 << 10
 
 // maxGrowth bounds how far a block may grow ahead of its bytes: to at
 // most this many times the bytes read into it.
 const maxGrowth = 8
 
-// block is one chunk of framed, undecoded records. JSONL records alias
-// buf; concatenated records are appended to it. Blocks cycle between the
-// splitter and the decode workers, and a worker recycles its block, with
-// its record bounds, once the chunk is scanned: types and key strings
-// never alias input bytes.
+// block is one chunk of framed, undecoded records, which alias buf.
+// Blocks cycle between the splitter and the decode workers, and a worker
+// recycles its block, with its record bounds, once the chunk is scanned:
+// types and key strings never alias input bytes.
 type block struct {
 	index int
 	// first is the 1-based line of buf[0] (JSONL) or the ordinal of the
@@ -54,56 +53,93 @@ func withSlack(size int) int { return size + size/8 }
 // newlines before the record (only on this error path), else by ordinal.
 func (b *block) recordError(i int, jsonl bool, err error) error {
 	if jsonl {
-		return fmt.Errorf("line %d: %w", b.first+bytes.Count(b.buf[:b.recs[i].start], []byte{'\n'}), err)
+		return recordError(true, b.first+bytes.Count(b.buf[:b.recs[i].start], []byte{'\n'}), err)
 	}
-	return fmt.Errorf("record %d: %w", b.first+i, err)
+	return recordError(false, b.first+i, err)
 }
 
-// lineFramer frames JSONL: it reads r into buf and yields the bounds of
-// each non-blank line, found with one bytes.IndexByte pass. A framed line
+// recordError names the record numbered n, a line for JSONL and an
+// ordinal otherwise, in err.
+func recordError(jsonl bool, n int, err error) error {
+	if jsonl {
+		return fmt.Errorf("line %d: %w", n, err)
+	}
+	return fmt.Errorf("record %d: %w", n, err)
+}
+
+// framer frames records: the non-blank lines of JSONL, found with one
+// bytes.IndexByte pass, or the values of concatenated JSON (valueEnd). It
+// reads r into buf and yields the bounds of each record. A framed record
 // stays in buf at its bounds while buf grows, unless reuse is set: then
-// the lines before pos are dropped when buf is full, so buf stays about
-// as large as the longest line.
-type lineFramer struct {
+// the records before pos are dropped when buf is full, so buf stays about
+// as large as the longest record.
+type framer struct {
 	r     io.Reader
+	jsonl bool
 	max   int // a line of max bytes or more, line end excluded, is an error
 	reuse bool
 
 	buf  []byte
-	pos  int   // start of the first line not yet framed
-	scan int   // buf[pos:scan] holds no newline
-	line int   // 1-based line number of the line at pos
+	pos  int   // start of the first record not yet framed
+	scan int   // buf[pos:scan] is scanned and holds no record end
+	n    int   // 1-based line (JSONL) or ordinal (values) of the record at pos
 	err  error // the reader's error, io.EOF at the end of input
+
+	// Where the scan of the value at pos stands, when scan > pos: at one
+	// of the points below, inside depth arrays and objects.
+	at    uint8
+	depth int
 }
 
-// next frames the next non-blank line and returns its bounds in buf,
-// without its "\n" or "\r\n" end, as bufio.ScanLines does. After the last
-// line it returns io.EOF, and on a read error that error. A line that is
-// too long is an error naming it that wraps bufio.ErrTooLong.
-func (f *lineFramer) next() (start, end int, err error) {
+// The points a value's scan can stand at between reads.
+const (
+	inNest   uint8 = iota // in an array or object, outside strings
+	inString              // in a string
+	inNumber              // in a number
+)
+
+// next frames the next record and returns its bounds in buf: a non-blank
+// line without its "\n" or "\r\n" end, as bufio.ScanLines does, or a
+// value without the whitespace around it. At the end of input, the bytes
+// left form the last record. After the last record it returns io.EOF, and
+// on a read error that error. A line that is too long is an error naming
+// it that wraps bufio.ErrTooLong.
+func (f *framer) next() (start, end int, err error) {
 	for {
-		i := bytes.IndexByte(f.buf[f.scan:], '\n')
+		if !f.jsonl {
+			end = f.valueEnd()
+		} else if end = bytes.IndexByte(f.buf[f.scan:], '\n'); end >= 0 {
+			end += f.scan
+		} else {
+			f.scan = len(f.buf)
+		}
+		start = f.pos
 		switch {
-		case i >= 0:
-			start, end = f.pos, f.scan+i
-			f.pos = end + 1
-		case len(f.buf)-f.pos >= f.max:
+		case end >= 0:
+			f.pos = end
+			if f.jsonl {
+				f.pos++ // past the newline
+			}
+		case f.jsonl && len(f.buf)-f.pos >= f.max:
 			return 0, 0, f.tooLong()
 		case f.err == nil:
-			f.scan = len(f.buf)
 			f.fill()
 			continue
 		case f.err == io.EOF && f.pos < len(f.buf):
-			start, end = f.pos, len(f.buf) // the last line has no newline
+			end = len(f.buf) // the last record has no end
 			f.pos = end
 		default:
 			return 0, 0, f.err
 		}
 		f.scan = f.pos
+		if !f.jsonl {
+			f.n++
+			return start, end, nil
+		}
 		if end-start >= f.max {
 			return 0, 0, f.tooLong()
 		}
-		f.line++
+		f.n++
 		if end > start && f.buf[end-1] == '\r' {
 			end--
 		}
@@ -114,8 +150,8 @@ func (f *lineFramer) next() (start, end int, err error) {
 }
 
 // tooLong reports that the line at pos reaches max bytes.
-func (f *lineFramer) tooLong() error {
-	return fmt.Errorf("line %d: record exceeds %d bytes: %w", f.line, f.max, bufio.ErrTooLong)
+func (f *framer) tooLong() error {
+	return fmt.Errorf("line %d: record exceeds %d bytes: %w", f.n, f.max, bufio.ErrTooLong)
 }
 
 // reserve grows buf, if needed, to hold a chunk of records records,
@@ -123,7 +159,7 @@ func (f *lineFramer) tooLong() error {
 // grows buf to at most maxGrowth times the bytes in it, so a chunk whose
 // first records are larger than the rest cannot make its block much
 // larger than its bytes.
-func (f *lineFramer) reserve(n, records int) {
+func (f *framer) reserve(n, records int) {
 	limit := maxGrowth * min(len(f.buf), math.MaxInt/(2*maxGrowth))
 	size := limit
 	if per := f.pos / n; per < limit/records {
@@ -135,11 +171,11 @@ func (f *lineFramer) reserve(n, records int) {
 }
 
 // fill reads at most readSize bytes onto the end of buf. When buf is full
-// it first makes room: by dropping the framed lines before pos if reuse
+// it first makes room: by dropping the framed records before pos if reuse
 // is set and they fill half of buf, else by doubling buf. A reader that
 // returns no bytes and no error 100 times in a row fails with
 // io.ErrNoProgress, as bufio.Scanner does.
-func (f *lineFramer) fill() {
+func (f *framer) fill() {
 	if len(f.buf) == cap(f.buf) {
 		if f.reuse && f.pos >= len(f.buf)/2 && f.pos > 0 {
 			n := copy(f.buf, f.buf[f.pos:])
@@ -158,3 +194,109 @@ func (f *lineFramer) fill() {
 	}
 	f.err = io.ErrNoProgress
 }
+
+// valueEnd returns the end of the value at pos, or -1 if buf ends first;
+// it first moves pos past the whitespace before the value. It scans only
+// as far as it must to find where the value ends: brackets are counted
+// outside strings, and a string ends at its first unescaped quote. A
+// literal ends after its four or five bytes, and a number where JSON's
+// grammar ends a valid one, so "truefalse" and "01" are two values each,
+// as json.Decoder reads them. Whether the value is valid is for the
+// scanner to say: a byte that cannot start a value, such as an unmatched
+// closing bracket, is a value of its own, and a literal's bytes are
+// framed whatever they hold.
+func (f *framer) valueEnd() int {
+	buf, i := f.buf, f.scan
+	if i == f.pos { // the value has not started
+		i = len(buf) - len(bytes.TrimLeft(buf[i:], " \t\n\r"))
+		f.pos, f.scan = i, i
+		if i == len(buf) {
+			return -1
+		}
+		switch c := buf[i]; {
+		case c == 't' || c == 'n' || c == 'f':
+			n := len("true")
+			if c == 'f' {
+				n = len("false")
+			}
+			if len(buf)-i < n {
+				return -1 // rescanned from pos once more bytes are read
+			}
+			return i + n
+		case c == '{' || c == '[':
+			f.at, f.depth = inNest, 1
+		case c == '"':
+			f.at, f.depth = inString, 0
+		case c == '-' || c >= '0' && c <= '9':
+			f.at = inNumber
+		default:
+			return i + 1
+		}
+		i++
+	}
+scan:
+	for i < len(buf) {
+		if f.at == inNumber {
+			if !numberGoesOn(buf, f.pos, i) {
+				return i
+			}
+			i++
+			continue
+		}
+		for stop := uint8(1) << f.at; stops[buf[i]]&stop == 0; {
+			if i++; i == len(buf) {
+				break scan
+			}
+		}
+		switch c := buf[i]; {
+		case c == '\\': // in a string: skip the byte it escapes, once it is read
+			if i+1 == len(buf) {
+				break scan
+			}
+			i++
+		case f.at == inString: // the closing quote
+			if f.at = inNest; f.depth == 0 {
+				return i + 1
+			}
+		case c == '"':
+			f.at = inString
+		case c == '{' || c == '[':
+			f.depth++
+		default: // '}' or ']'
+			if f.depth--; f.depth == 0 {
+				return i + 1
+			}
+		}
+		i++
+	}
+	f.scan = i
+	return -1
+}
+
+// numberGoesOn reports whether buf[i] continues the number that starts at
+// pos. On valid input the number ends where JSON's grammar ends it: a
+// sign only follows an exponent's e, and no digit follows a leading 0.
+// Past that it runs on over number bytes, as the scanner reads numbers.
+func numberGoesOn(buf []byte, pos, i int) bool {
+	c, prev := buf[i], buf[i-1]
+	switch {
+	case c >= '0' && c <= '9':
+		return prev != '0' || i-pos > 2 || i-pos == 2 && buf[pos] != '-'
+	case c == '-' || c == '+':
+		return prev == 'e' || prev == 'E'
+	}
+	return c == '.' || c == 'e' || c == 'E'
+}
+
+// stops has bit 1<<inNest set for the bytes a scan in an array or object
+// must look at, quotes and brackets, and bit 1<<inString for those in a
+// string, quotes and backslashes.
+var stops = func() (t [256]uint8) {
+	for _, c := range `"{}[]` {
+		t[c] |= 1 << inNest
+	}
+	for _, c := range `"\\` {
+		t[c] |= 1 << inString
+	}
+	return t
+}()

@@ -2,18 +2,21 @@
 // JSON) in bounded chunks and turns each chunk into a deduplicated
 // jsontype.Bag through a decode worker pool.
 //
-// This is the streaming front half of discovery. A single splitter
+// This is the streaming front half of discovery, and the only reader of
+// records: Each and Fold feed the streaming pipeline, Types returns the
+// types of a stream in order, and Records hands raw records to a sharding
+// driver. One framer serves both formats: it ends a JSONL record at its
+// newline and a concatenated one where a byte-level scan of the value
+// ends, and jsontype.FromJSON parses every record. A single splitter
 // goroutine frames raw records into blocks of Options.ChunkSize records
-// and hands them to Options.Workers decoding goroutines. For JSONL it
-// reads the stream straight into a block and cuts it after the chunk's
-// last line, so the records alias the block and none is copied; for
-// concatenated JSON a value-level token scan appends each record to the
-// block. Decoded chunks are re-sequenced and delivered to the caller
-// strictly in input order, so downstream accumulation is deterministic
-// regardless of worker scheduling. Memory is bounded by at most
-// Workers+2 blocks of about one chunk's bytes — never by the length of
-// the stream — which is what lets the pipeline discover collections far
-// larger than RAM.
+// and hands them to Options.Workers decoding goroutines. It reads the
+// stream straight into a block and cuts it after the chunk's last
+// record, so the records alias the block and none is copied. Decoded
+// chunks are re-sequenced and delivered to the caller strictly in input
+// order, so downstream accumulation is deterministic regardless of
+// worker scheduling. Memory is bounded by at most Workers+2 blocks of
+// about one chunk's bytes — never by the length of the stream — which is
+// what lets the pipeline discover collections far larger than RAM.
 //
 // Cancellation: every stage watches the caller's context; on cancellation
 // Each tears the stages down, waits for all goroutines to exit, and
@@ -22,10 +25,7 @@
 package ingest
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
-	"fmt"
 	"io"
 	"runtime"
 	"sync"
@@ -40,7 +40,8 @@ type Options struct {
 	// Workers is the decode worker count (default GOMAXPROCS).
 	Workers int
 	// JSONL frames records as non-blank lines (strict JSONL) instead of
-	// scanning concatenated JSON values; errors then carry line numbers.
+	// as concatenated JSON values; errors then carry line numbers, not
+	// record ordinals.
 	JSONL bool
 	// MaxRecordBytes caps a single record's size in JSONL mode
 	// (default 64 MiB).
@@ -75,7 +76,9 @@ type Chunk struct {
 // order, from the calling goroutine's ordering domain (fn calls never
 // overlap). It returns the total record count. A non-nil error from fn
 // stops ingestion and is returned as-is; decode errors and context
-// cancellation abort likewise. All internal goroutines have exited by the
+// cancellation abort likewise. A decode error names the stream's first
+// bad record, once fn has had every chunk before it. All internal
+// goroutines have exited by the
 // time Each returns. The splitter and decoder goroutines communicate only
 // through channels, and re-sequencing runs on a single goroutine.
 func Each(ctx context.Context, r io.Reader, opts Options, fn func(Chunk) error) (int, error) {
@@ -140,30 +143,32 @@ func Each(ctx context.Context, r io.Reader, opts Options, fn func(Chunk) error) 
 		close(results)
 	}()
 
-	// Re-sequence: deliver chunks to fn strictly in stream order.
+	// Re-sequence: deliver chunks to fn strictly in stream order. A decode
+	// error waits its turn like a chunk, so the error returned is the
+	// first in the stream, whichever worker finishes first.
 	total := 0
-	pending := map[int]Chunk{}
+	pending := map[int]decoded{}
 	next := 0
 	var firstErr error
 	for res := range results {
 		if firstErr != nil {
 			continue // draining after failure
 		}
-		if res.err != nil {
-			firstErr = res.err
-			cancel()
-			continue
-		}
-		pending[res.chunk.Index] = res.chunk
+		pending[res.chunk.Index] = res
 		for {
-			chunk, ok := pending[next]
+			res, ok := pending[next]
 			if !ok {
 				break
 			}
 			delete(pending, next)
 			next++
-			total += chunk.Records
-			if err := fn(chunk); err != nil {
+			if res.err != nil {
+				firstErr = res.err
+				cancel()
+				break
+			}
+			total += res.chunk.Records
+			if err := fn(res.chunk); err != nil {
 				firstErr = err
 				cancel()
 				break
@@ -184,50 +189,70 @@ func Each(ctx context.Context, r io.Reader, opts Options, fn func(Chunk) error) 
 }
 
 // Records frames the stream record by record without decoding: each call
-// to fn receives the raw bytes of one JSON record, line end excluded, in
-// stream order. Only Options.JSONL and Options.MaxRecordBytes apply.
-// Memory is bounded by the largest single record, never by the stream
-// length, which is what lets a sharding driver cut a corpus into
+// to fn receives the raw bytes of one JSON record, in stream order: a
+// JSONL line without its line end, or a concatenated value without the
+// whitespace around it. Only Options.JSONL and Options.MaxRecordBytes
+// apply. Memory is bounded by the largest single record, never by the
+// stream length, which is what lets a sharding driver cut a corpus into
 // contiguous ranges while holding O(record) bytes.
 //
 // The slice passed to fn aliases an internal buffer and is only valid for
 // the duration of the call; fn must copy it if it needs to keep it. A
 // non-nil error from fn stops the scan and is returned as-is.
 func Records(r io.Reader, opts Options, fn func(rec []byte) error) error {
-	opts = opts.withDefaults()
-	if opts.JSONL {
-		f := lineFramer{r: r, max: opts.MaxRecordBytes, line: 1, reuse: true}
-		for {
-			start, end, err := f.next()
-			if err == io.EOF {
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-			if err := fn(f.buf[start:end]); err != nil {
-				return err
-			}
+	return records(r, opts, func(rec []byte, _ int) error { return fn(rec) })
+}
+
+// Types reads the stream sequentially and returns the type of each
+// record, in stream order; with an error, those of the records before it.
+// A record that fails to parse is named as Each names it: by line for
+// JSONL, else by ordinal. Only Options.JSONL and Options.MaxRecordBytes
+// apply.
+func Types(r io.Reader, opts Options) ([]*jsontype.Type, error) {
+	var types []*jsontype.Type
+	err := records(r, opts, func(rec []byte, n int) error {
+		t, err := jsontype.FromJSON(rec)
+		if err != nil {
+			return recordError(opts.JSONL, n, err)
 		}
-	}
-	dec := json.NewDecoder(bufio.NewReaderSize(r, 1<<16))
-	record := 0
-	for dec.More() {
-		var raw json.RawMessage
-		if err := dec.Decode(&raw); err != nil {
-			return fmt.Errorf("record %d: %w", record+1, err)
+		types = append(types, t)
+		return nil
+	})
+	return types, err
+}
+
+// records is Records, passing fn each record's line (JSONL) or ordinal
+// too.
+func records(r io.Reader, opts Options, fn func(rec []byte, n int) error) error {
+	f := &framer{r: r, jsonl: opts.JSONL, max: opts.withDefaults().MaxRecordBytes, reuse: true, n: 1}
+	for {
+		start, end, err := f.next()
+		if err == io.EOF {
+			return nil
 		}
-		record++
-		if err := fn(raw); err != nil {
+		if err != nil {
+			return err
+		}
+		if err := fn(f.buf[start:end], f.n-1); err != nil {
 			return err
 		}
 	}
-	return nil
 }
 
 // split frames the stream into blocks of one chunk each, taking every
 // block from free and sending it to out. It returns nil at EOF and
 // ctx.Err() when cancelled mid-stream.
+//
+// It reads the stream into a block and cuts it after the chunk's
+// ChunkSize-th record, so every chunk but the last holds exactly
+// ChunkSize records, and records alias their block. The bytes read past
+// the cut move into the next block, whose capacity follows the byte size
+// of the chunk just cut, and is at least one read. Reads stop at a
+// block's capacity, so a block needs no room past its chunk for the read
+// that crosses the cut. A block about to fill grows to the size its
+// records so far predict for the chunk, so the first block does not grow
+// a read at a time, but to at most maxGrowth times its bytes; a block
+// that fills anyway doubles.
 func split(ctx context.Context, r io.Reader, opts Options, free <-chan *block, out chan<- *block) error {
 	take := func() (*block, error) {
 		select {
@@ -245,64 +270,7 @@ func split(ctx context.Context, r io.Reader, opts Options, free <-chan *block, o
 			return ctx.Err()
 		}
 	}
-	if opts.JSONL {
-		return splitLines(r, opts, take, send)
-	}
-
-	// Concatenated JSON: frame whole values with a RawMessage scan and
-	// append each to the block. The bytes are re-parsed by the workers;
-	// framing is the cheap part and stays sequential because value
-	// boundaries require a token scan.
-	dec := json.NewDecoder(bufio.NewReaderSize(r, 1<<16))
-	var (
-		raw  json.RawMessage // reused: Decode appends into it
-		b    *block
-		size int // byte size of the last chunk sent
-	)
-	for index, record := 0, 0; dec.More(); {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := dec.Decode(&raw); err != nil {
-			return fmt.Errorf("record %d: %w", record+1, err)
-		}
-		record++
-		if b == nil {
-			var err error
-			if b, err = take(); err != nil {
-				return err
-			}
-			b.reset(index, record, size)
-			index++
-		}
-		b.recs = append(b.recs, span{len(b.buf), len(b.buf) + len(raw)})
-		b.buf = append(b.buf, raw...)
-		if len(b.recs) == opts.ChunkSize {
-			size = len(b.buf)
-			if err := send(b); err != nil {
-				return err
-			}
-			b = nil
-		}
-	}
-	if b != nil {
-		return send(b)
-	}
-	return nil
-}
-
-// splitLines frames JSONL into blocks: it reads the stream into a block
-// and cuts it after the chunk's ChunkSize-th non-blank line, so every
-// chunk but the last holds exactly ChunkSize records. The bytes read past
-// the cut move into the next block, whose capacity follows the byte size
-// of the chunk just cut, and is at least one read. Reads stop at a
-// block's capacity, so a block needs no room past its chunk for the read
-// that crosses the cut. A block about to fill grows to the size its
-// records so far predict for the chunk, so the first block does not grow
-// a read at a time, but to at most maxGrowth times its bytes; a block
-// that fills anyway doubles.
-func splitLines(r io.Reader, opts Options, take func() (*block, error), send func(*block) error) error {
-	f := lineFramer{r: r, max: opts.MaxRecordBytes, line: 1}
+	f := &framer{r: r, jsonl: opts.JSONL, max: opts.MaxRecordBytes, n: 1}
 	var b *block
 	size := 0 // byte size of the last chunk cut
 	for index := 0; ; index++ {
@@ -310,7 +278,7 @@ func splitLines(r io.Reader, opts Options, take func() (*block, error), send fun
 		if err != nil {
 			return err
 		}
-		next.reset(index, f.line, max(size, readSize))
+		next.reset(index, f.n, max(size, readSize))
 		next.buf = append(next.buf, f.buf[f.pos:]...)
 		if b != nil {
 			b.buf = f.buf[:f.pos]

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -227,9 +228,9 @@ func TestEachEmptyInput(t *testing.T) {
 	}
 }
 
-func TestEachMatchesDecodeAll(t *testing.T) {
+func TestEachMatchesTypes(t *testing.T) {
 	input := jsonl(137)
-	want, err := jsontype.DecodeAll(strings.NewReader(input))
+	want, err := Types(strings.NewReader(input), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,6 +419,65 @@ func FuzzLineFraming(f *testing.F) {
 	})
 }
 
+// decoderValues returns the raw values json.Decoder reads from data, and
+// whether it reads all of data to io.EOF without an error.
+func decoderValues(data []byte) ([]string, bool) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	var vals []string
+	for {
+		var raw json.RawMessage
+		switch err := dec.Decode(&raw); err {
+		case nil:
+			vals = append(vals, string(raw))
+		case io.EOF:
+			return vals, true
+		default:
+			return nil, false
+		}
+	}
+}
+
+// FuzzValueFraming checks the value framer against json.Decoder. On input
+// that json.Decoder reads to its end without an error, Records must pass
+// the raw values it reads, whole or a little at a time, Each must see
+// their types at every chunk size, and Types must return them in order.
+// On any other input, Records, Each and Types must return.
+func FuzzValueFraming(f *testing.F) {
+	for _, s := range []string{
+		`{}{}`, `truefalse`, `1"a"`, `01`, `[1][2]`, `-0.5e+3 1E9 -12`, `nul`, `{"a":1} ] {"b":2}`,
+		`"q\"" "b\\" "]" "}" ["]}\"\\"] {"k}":"[","\\":"\""}`,
+		"{\n  \"a\": [\n    1,\n    {\"b\": null}\n  ],\n  \"c\": \"x\"\n}\n{\n  \"a\": []\n}\n",
+		strings.Repeat(" ", readSize-3) + "123456.75e-1",
+		strings.Repeat("[", 10001) + strings.Repeat("]", 10001),
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, ok := decoderValues(data)
+		if !ok {
+			_ = Records(bytes.NewReader(data), Options{}, func([]byte) error { return nil })
+			_, _ = Each(context.Background(), bytes.NewReader(data), Options{ChunkSize: 2, Workers: 2}, func(Chunk) error { return nil })
+			_, _ = Types(bytes.NewReader(data), Options{})
+			return
+		}
+		for _, r := range readers {
+			got := framed(t, string(data), r.wrap, Options{}, 1, 2, 2048)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s reader: Records passed %q, json.Decoder read %q", r.name, got, want)
+			}
+		}
+		types, err := Types(bytes.NewReader(data), Options{})
+		if err != nil || len(types) != len(want) {
+			t.Fatalf("Types: %d types, %v; want %d", len(types), err, len(want))
+		}
+		for i, v := range want {
+			if ty, err := jsontype.FromJSON([]byte(v)); err != nil || types[i] != ty {
+				t.Fatalf("Types: record %d is %v, want FromJSON(%q) = %v, %v", i+1, types[i], v, ty, err)
+			}
+		}
+	})
+}
+
 // TestLineFramingSizeCap pins the edge of the record size cap: with or
 // without a newline after it, a record of MaxRecordBytes-1 bytes is read
 // and one of MaxRecordBytes bytes is an error naming its line. The cap
@@ -453,36 +513,43 @@ func TestLineFramingSizeCap(t *testing.T) {
 // raceEnabled is set by race_test.go in -race builds.
 var raceEnabled bool
 
-// TestEachDoesNotCopyRecords pins that JSONL records alias the blocks they
-// were read into: once the pooled scanners are warm, ingesting 16 MiB of
-// short records with two workers allocates under a quarter of the input's
-// bytes (the chunks' bags and the blocks themselves), where a copy per
-// record alone would allocate more than the input.
+// TestEachDoesNotCopyRecords pins that records alias the blocks they were
+// read into, as JSONL lines and as concatenated values: once the pooled
+// scanners are warm, ingesting 16 MiB of short records with two workers
+// allocates under a quarter of the input's bytes (the chunks' bags and the
+// blocks themselves), where a copy per record alone would allocate more
+// than the input.
 func TestEachDoesNotCopyRecords(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops pooled scanners at random under -race")
 	}
-	var b strings.Builder
-	for i := 0; b.Len() < 16<<20; i++ {
-		fmt.Fprintf(&b, `{"id":%d,"name":"user-%d","active":true}`+"\n", i, i%1000)
-	}
-	input := b.String()
-	opts := Options{Workers: 2, JSONL: true}
-	ingest := func() {
-		if _, err := Each(context.Background(), strings.NewReader(input), opts, func(Chunk) error { return nil }); err != nil {
-			t.Fatal(err)
+	for _, jsonl := range []bool{true, false} {
+		sep := " "
+		if jsonl {
+			sep = "\n"
 		}
-	}
-	ingest()
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	ingest()
-	runtime.ReadMemStats(&after)
-	allocated := after.TotalAlloc - before.TotalAlloc
-	t.Logf("Each allocated %d bytes for a %d-byte input (%.3f per byte)", allocated, len(input), float64(allocated)/float64(len(input)))
-	if limit := uint64(len(input)) / 4; allocated > limit {
-		t.Errorf("Each allocated %d bytes for a %d-byte input (limit %d); records are being copied", allocated, len(input), limit)
+		var b strings.Builder
+		for i := 0; b.Len() < 16<<20; i++ {
+			fmt.Fprintf(&b, `{"id":%d,"name":"user-%d","active":true}`+sep, i, i%1000)
+		}
+		input := b.String()
+		opts := Options{Workers: 2, JSONL: jsonl}
+		ingest := func() {
+			if _, err := Each(context.Background(), strings.NewReader(input), opts, func(Chunk) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ingest()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		ingest()
+		runtime.ReadMemStats(&after)
+		allocated := after.TotalAlloc - before.TotalAlloc
+		t.Logf("JSONL %v: Each allocated %d bytes for a %d-byte input (%.3f per byte)", jsonl, allocated, len(input), float64(allocated)/float64(len(input)))
+		if limit := uint64(len(input)) / 4; allocated > limit {
+			t.Errorf("JSONL %v: Each allocated %d bytes for a %d-byte input (limit %d); records are being copied", jsonl, allocated, len(input), limit)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package jsontype
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 )
 
 // FromValue derives the structural type of a decoded JSON value as produced
@@ -61,15 +60,4 @@ func MustFromValue(v any) *Type {
 // allocation once interned.
 func FromJSON(data []byte) (*Type, error) {
 	return scanOne(data)
-}
-
-// DecodeAll derives the structural types of a stream of whitespace- or
-// newline-separated JSON documents (JSONL and concatenated JSON both work).
-// The stream is read fully into memory and scanned in place.
-func DecodeAll(r io.Reader) ([]*Type, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return scanAll(data, nil)
 }

@@ -1,7 +1,6 @@
 package jsontype
 
 import (
-	"strings"
 	"testing"
 )
 
@@ -61,30 +60,6 @@ func TestFromJSONErrors(t *testing.T) {
 		if _, err := FromJSON([]byte(src)); err == nil {
 			t.Errorf("FromJSON(%q) should fail", src)
 		}
-	}
-}
-
-func TestDecodeAll(t *testing.T) {
-	input := "{\"a\":1}\n{\"a\":2,\"b\":\"x\"}\n[1,2]\n\"s\"\n"
-	types, err := DecodeAll(strings.NewReader(input))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(types) != 4 {
-		t.Fatalf("got %d types, want 4", len(types))
-	}
-	if !Equal(types[0], obj("a", Number)) ||
-		!Equal(types[1], obj("a", Number, "b", String)) ||
-		!Equal(types[2], arr(Number, Number)) ||
-		!Equal(types[3], String) {
-		t.Errorf("DecodeAll mismatch: %v", types)
-	}
-}
-
-func TestDecodeAllEmpty(t *testing.T) {
-	types, err := DecodeAll(strings.NewReader("  \n "))
-	if err != nil || len(types) != 0 {
-		t.Errorf("empty stream: %v, %v", types, err)
 	}
 }
 

@@ -1,7 +1,6 @@
 package jsontype
 
 import (
-	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -112,21 +111,6 @@ func FuzzScan(f *testing.F) {
 		}
 		if again, err := FromJSON(data); err != nil || again != want {
 			t.Fatalf("second scan of %q: %v (%v), want %v", data, again, err, want)
-		}
-	})
-}
-
-// FuzzDecodeAll exercises the multi-document decoder.
-func FuzzDecodeAll(f *testing.F) {
-	f.Add([]byte("{\"a\":1}\n{\"a\":2}"))
-	f.Add([]byte(`1 2 3 [] {} "x"`))
-	f.Add([]byte("\n\n"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		types, _ := DecodeAll(bytes.NewReader(data))
-		for _, ty := range types {
-			if ty == nil {
-				t.Fatal("nil type in successful prefix")
-			}
 		}
 	})
 }

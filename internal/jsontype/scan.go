@@ -101,28 +101,6 @@ func scanOne(data []byte) (*Type, error) {
 	return t, nil
 }
 
-// scanAll scans a stream of whitespace-separated JSON values, appending
-// their types to out. On error the types scanned so far are returned with
-// it.
-//
-//jx:hotpath
-func scanAll(data []byte, out []*Type) ([]*Type, error) {
-	s := scannerPool.Get().(*typeScanner)
-	defer scannerPool.Put(s)
-	s.reset(data)
-	for {
-		s.skipSpace()
-		if s.pos >= len(s.data) {
-			return out, nil
-		}
-		t, err := s.value(0)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, t)
-	}
-}
-
 //jx:hotpath
 func (s *typeScanner) reset(data []byte) {
 	s.data, s.pos = data, 0

@@ -157,18 +157,20 @@ func NewObjectTuple(required, optional []FieldSchema) *ObjectTuple {
 	o := &ObjectTuple{Required: required, Optional: optional}
 	sort.Slice(o.Required, func(i, j int) bool { return o.Required[i].Key < o.Required[j].Key })
 	sort.Slice(o.Optional, func(i, j int) bool { return o.Optional[i].Key < o.Optional[j].Key })
-	seen := map[string]bool{}
-	for _, f := range o.Required {
-		if seen[f.Key] {
-			panic("schema: duplicate ObjectTuple key " + f.Key)
+	// Walk the two sorted lists in merged key order: a key that appears
+	// twice, within or across them, follows itself.
+	prev, i, j := "", 0, 0
+	for n := 0; i < len(o.Required) || j < len(o.Optional); n++ {
+		var k string
+		if j == len(o.Optional) || i < len(o.Required) && o.Required[i].Key < o.Optional[j].Key {
+			k, i = o.Required[i].Key, i+1
+		} else {
+			k, j = o.Optional[j].Key, j+1
 		}
-		seen[f.Key] = true
-	}
-	for _, f := range o.Optional {
-		if seen[f.Key] {
-			panic("schema: duplicate ObjectTuple key " + f.Key)
+		if n > 0 && k == prev {
+			panic("schema: duplicate ObjectTuple key " + k)
 		}
-		seen[f.Key] = true
+		prev = k
 	}
 	return o
 }

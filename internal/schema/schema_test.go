@@ -59,12 +59,23 @@ func TestNodeKinds(t *testing.T) {
 }
 
 func TestObjectTupleDuplicateKeyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate key across required/optional should panic")
-		}
-	}()
-	NewObjectTuple([]FieldSchema{req("a", Number)}, []FieldSchema{req("a", String)})
+	for _, c := range []struct {
+		name               string
+		required, optional []FieldSchema
+	}{
+		{"across required/optional", []FieldSchema{req("a", Number)}, []FieldSchema{req("a", String)}},
+		{"twice in required", []FieldSchema{req("b", Number), req("a", Bool), req("b", String)}, []FieldSchema{req("c", Null)}},
+		{"twice in optional", []FieldSchema{req("c", Null)}, []FieldSchema{req("b", Number), req("a", Bool), req("b", String)}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("duplicate key %s should panic", c.name)
+				}
+			}()
+			NewObjectTuple(c.required, c.optional)
+		}()
+	}
 }
 
 func TestObjectTupleFieldLookup(t *testing.T) {

@@ -74,20 +74,7 @@ func Discover(types []*Type, cfg Config) Schema {
 // bounded chunks and folded into mergeable sketches, so memory tracks the
 // stream's distinct structure rather than its record count.
 func DiscoverJSON(r io.Reader, cfg Config) (Schema, error) {
-	return DiscoverStream(context.Background(), r, cfg)
-}
-
-// DiscoverValues infers a schema from decoded JSON values.
-func DiscoverValues(values []any, cfg Config) (Schema, error) {
-	types := make([]*Type, len(values))
-	for i, v := range values {
-		t, err := jsontype.FromValue(v)
-		if err != nil {
-			return nil, err
-		}
-		types[i] = t
-	}
-	return Discover(types, cfg), nil
+	return DiscoverStreamOpts(context.Background(), r, cfg, StreamOptions{})
 }
 
 // IterativeDiscover derives a schema from a small seed sample and grows

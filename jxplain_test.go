@@ -48,23 +48,6 @@ func TestDiscoverJSONDecodingError(t *testing.T) {
 	}
 }
 
-func TestDiscoverValues(t *testing.T) {
-	s, err := DiscoverValues([]any{
-		map[string]any{"k": 1.0},
-		map[string]any{"k": 2.0},
-	}, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ty, _ := TypeOfValue(map[string]any{"k": 3.0})
-	if !ValidateType(s, ty) {
-		t.Error("value round trip broken")
-	}
-	if _, err := DiscoverValues([]any{struct{}{}}, DefaultConfig()); err == nil {
-		t.Error("unsupported value should error")
-	}
-}
-
 func TestKReduceConfigDiffers(t *testing.T) {
 	records := strings.NewReader(figure1)
 	k, err := DiscoverJSON(records, KReduceConfig())

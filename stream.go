@@ -148,18 +148,13 @@ func (d *Discoverer) Records() int { return d.acc.Records() }
 // More records may be added afterwards and Finish called again.
 func (d *Discoverer) Finish() Schema { return schema.Simplify(d.acc.Finish()) }
 
-// DiscoverStream reads a stream of JSON documents (JSONL or concatenated)
-// in bounded chunks through a decode worker pool and infers their
-// collection schema, holding only the stream's distinct structure in
+// DiscoverStreamOpts reads a stream of JSON documents (JSONL or
+// concatenated) in bounded chunks through a decode worker pool and infers
+// their collection schema, holding only the stream's distinct structure in
 // memory. It produces exactly the schema Discover produces on the same
-// records. The context cancels ingestion mid-stream.
-func DiscoverStream(ctx context.Context, r io.Reader, cfg Config) (Schema, error) {
-	return DiscoverStreamOpts(ctx, r, cfg, StreamOptions{})
-}
-
-// DiscoverStreamOpts is DiscoverStream with explicit chunking, worker and
-// framing options. Its stream caps, when set, replace cfg.Bounds, and
-// the bounds are checked as AddStream checks them.
+// records. The context cancels ingestion mid-stream. The zero
+// StreamOptions pick the defaults; the stream caps, when set, replace
+// cfg.Bounds, and the bounds are checked as AddStream checks them.
 func DiscoverStreamOpts(ctx context.Context, r io.Reader, cfg Config, opts StreamOptions) (Schema, error) {
 	res, err := stream.Run(ctx, r, cfg, stream.Plan{Options: opts})
 	if err != nil {

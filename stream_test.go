@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"jxplain/internal/dataset"
-	"jxplain/internal/jsontype"
+	"jxplain/internal/ingest"
 )
 
 // datasetJSONL renders a generator's records as JSONL bytes.
@@ -39,7 +39,7 @@ func TestDiscoverStreamEquivalence(t *testing.T) {
 	for _, g := range dataset.Registry() {
 		input := datasetJSONL(t, g, 300)
 
-		types, err := jsontype.DecodeAll(bytes.NewReader(input))
+		types, err := ingest.Types(bytes.NewReader(input), ingest.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", g.Name, err)
 		}
@@ -64,7 +64,7 @@ func TestDiscoverStreamEquivalence(t *testing.T) {
 				t.Fatalf("%s: %v", g.Name, err)
 			}
 			if !bytes.Equal(got, want) {
-				t.Errorf("%s: DiscoverStream with %+v diverges from Discover:\n%s\n%s",
+				t.Errorf("%s: DiscoverStreamOpts with %+v diverges from Discover:\n%s\n%s",
 					g.Name, opts, got, want)
 			}
 		}
@@ -151,7 +151,7 @@ func TestDiscovererErrors(t *testing.T) {
 }
 
 func TestDiscoverStreamErrors(t *testing.T) {
-	if _, err := DiscoverStream(context.Background(), strings.NewReader(`{"a":1} {nope`), DefaultConfig()); err == nil {
+	if _, err := DiscoverStreamOpts(context.Background(), strings.NewReader(`{"a":1} {nope`), DefaultConfig(), StreamOptions{}); err == nil {
 		t.Error("malformed stream should fail")
 	}
 }
@@ -170,7 +170,7 @@ func TestDiscoverStreamCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := DiscoverStream(ctx, &slowEndlessReader{}, DefaultConfig())
+		_, err := DiscoverStreamOpts(ctx, &slowEndlessReader{}, DefaultConfig(), StreamOptions{})
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -181,7 +181,7 @@ func TestDiscoverStreamCancellation(t *testing.T) {
 			t.Errorf("err = %v, want context.Canceled", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("cancellation did not abort DiscoverStream promptly")
+		t.Fatal("cancellation did not abort DiscoverStreamOpts promptly")
 	}
 }
 
