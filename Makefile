@@ -54,6 +54,7 @@ cover:
 fuzz:
 	$(GO) test -fuzz FuzzFromJSON -fuzztime 30s ./internal/jsontype/
 	$(GO) test -fuzz FuzzScan -fuzztime 30s ./internal/jsontype/
+	$(GO) test -fuzz FuzzCanonHash -fuzztime 30s ./internal/jsontype/
 	$(GO) test -fuzz FuzzLineFraming -fuzztime 30s ./internal/ingest/
 	$(GO) test -fuzz FuzzValueFraming -fuzztime 30s -fuzzminimizetime 1s ./internal/ingest/
 	$(GO) test -fuzz FuzzKeySet -fuzztime 30s ./internal/entity/

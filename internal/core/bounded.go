@@ -43,12 +43,20 @@ func (a *Accumulator) advance(n int) {
 // pushed (evicting the oldest window beyond the width) and replaced by a
 // fresh epoch; without one, decay ages the live sketch in place. The
 // reservoir decays on every rotation when a factor is set.
+//
+// The fresh epoch's root key list starts at the closed window's root key
+// count: a root keyed by session or entity ids meets about as many keys
+// in each window as in the last, so its list (and, through reindex, its
+// index) is sized once per window instead of grown again from empty.
 func (a *Accumulator) rotate() {
 	b := a.cfg.Bounds
 	if a.ring != nil {
 		closed := a.sketch
 		a.ring.push(closed)
 		a.sketch = NewPathSketch()
+		if n := len(closed.root.keys.entries); n > 0 {
+			a.sketch.root.keys.reserve(n)
+		}
 		if a.onWindowClose != nil {
 			a.onWindowClose(a.ring.closed-1, closed.Records(), closed)
 		}

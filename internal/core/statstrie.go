@@ -37,8 +37,10 @@ import (
 // that is scanned costs far less to build, fill and walk than a map. A
 // list that grows past indexAt entries — a root keyed by session or
 // entity ids — also keeps a key→position map. Lists are in insertion
-// order; every reader that needs an order (the encoder, the evidence
-// sums) sorts a copy.
+// order; every reader that needs an order sorts a copy. The encoder sorts
+// one per list it writes, and derive sorts the pointers to a node's key
+// entries once, reading from them both the entropy weights and, at a
+// collection, the order the wildcard merge folds the children in.
 //
 // A node's array statistics — its count, length histogram, similarity
 // accumulator and element nodes — sit in an arrayStats block behind one
@@ -140,7 +142,9 @@ func (l *nodeList[K, C]) reserve(n int) {
 
 // reindex builds the index of a list longer than indexAt and drops that
 // of a shorter one — after the list first outgrows indexAt, and after
-// decay removes entries.
+// decay removes entries. A new index is sized from the list's capacity,
+// so a list reserved for the keys it will hold fills its index without
+// growing it either.
 //
 //jx:coldpath runs once per node that outgrows indexAt, and per decay
 func (l *nodeList[K, C]) reindex() {
@@ -149,7 +153,7 @@ func (l *nodeList[K, C]) reindex() {
 		return
 	}
 	if l.index == nil {
-		l.index = make(map[K]int, len(l.entries))
+		l.index = make(map[K]int, cap(l.entries))
 	} else {
 		clear(l.index)
 	}
@@ -553,22 +557,37 @@ func (a *arrayStats) attachElem(i int, c *statsTrie) {
 
 // ---- evidence derivation ----
 
+// sortedKeys returns pointers to the node's key entries, in key order.
+// They point into the key list itself, so they are valid only while
+// nothing adds to the node, as throughout derive.
+func (t *statsTrie) sortedKeys() []*keyStat {
+	keys := make([]*keyStat, len(t.keys.entries))
+	for i := range t.keys.entries {
+		keys[i] = &t.keys.entries[i]
+	}
+	slices.SortFunc(keys, func(a, b *keyStat) int { return cmp.Compare(a.key, b.key) })
+	return keys
+}
+
 // objectEvidence renders the node's object statistics as entropy.Evidence,
-// matching entropy.DetectObjects bit for bit.
-func (t *statsTrie) objectEvidence() entropy.Evidence {
-	// Key order must be pinned before the float64 summation inside Entropy:
-	// FP addition is not associative, so list order would leak into the
-	// entropy bits (and differ from entropy.DetectObjects).
-	counts := t.appendKeyCounts(make([]keyCount, 0, len(t.keys.entries)))
-	weights := make([]float64, len(counts))
-	for i, kc := range counts {
-		weights[i] = float64(kc.n)
+// matching entropy.DetectObjects bit for bit. keys are the node's key
+// entries in key order (sortedKeys): the order must be pinned before the
+// float64 summation inside Entropy, since FP addition is not associative,
+// so list order would leak into the entropy bits (and differ from
+// entropy.DetectObjects). A key counted zero times — a child-only entry
+// decoded from a file, or one decay floored — is not in the key set.
+func (t *statsTrie) objectEvidence(keys []*keyStat) entropy.Evidence {
+	weights := make([]float64, 0, len(keys))
+	for _, e := range keys {
+		if e.n > 0 {
+			weights = append(weights, float64(e.n))
+		}
 	}
 	return entropy.Evidence{
 		KeyEntropy:   stats.Entropy(weights, float64(t.objCount)),
 		Similar:      t.objSim.Similar(),
 		Records:      t.objCount,
-		DistinctKeys: len(counts),
+		DistinctKeys: len(weights),
 	}
 }
 
@@ -619,7 +638,8 @@ func (t *statsTrie) derive(path string, cfg Config, out *[]PathStat) {
 		}
 	}
 	if t.objCount > 0 {
-		ev := t.objectEvidence()
+		keys := t.sortedKeys()
+		ev := t.objectEvidence(keys)
 		decision := entropy.Decide(ev, cfg.Detection)
 		if !cfg.DetectObjectCollections {
 			decision = entropy.Tuple
@@ -631,8 +651,10 @@ func (t *statsTrie) derive(path string, cfg Config, out *[]PathStat) {
 			// Merge in key order, so the merged node does not depend on
 			// the order in which the fold met the keys.
 			merged := newStatsTrie()
-			for _, c := range t.appendChildren(nil) {
-				merged.combineShared(c.node)
+			for _, e := range keys {
+				if e.child != nil {
+					merged.combineShared(e.child)
+				}
 			}
 			if merged.objCount > 0 || merged.arrCount() > 0 {
 				merged.derive(objectValuePath(path), cfg, out)

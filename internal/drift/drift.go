@@ -152,11 +152,16 @@ func (m *Monitor) closeWindow() *Alert {
 		for _, e := range m.editSet {
 			edits = append(edits, e)
 		}
+		// Path, op and detail together are an edit's identity, so the
+		// order is total and never falls back to the map's.
 		sort.Slice(edits, func(i, j int) bool {
 			if edits[i].Path != edits[j].Path {
 				return edits[i].Path < edits[j].Path
 			}
-			return edits[i].Op < edits[j].Op
+			if edits[i].Op != edits[j].Op {
+				return edits[i].Op < edits[j].Op
+			}
+			return edits[i].Detail < edits[j].Detail
 		})
 		alert = &Alert{
 			Window:     windowIdx,

@@ -2,11 +2,13 @@ package drift
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"jxplain/internal/core"
 	"jxplain/internal/jsontype"
+	"jxplain/internal/metrics"
 	"jxplain/internal/schema"
 )
 
@@ -78,6 +80,27 @@ func TestMonitorDetectsNewField(t *testing.T) {
 	}
 	if len(alert.Samples) != 5 {
 		t.Errorf("samples = %d", len(alert.Samples))
+	}
+}
+
+// Edits that differ only in their detail — two new fields at the root —
+// come out in detail order, not in the order the edit set's map yields
+// them, so an alert prints the same on every run.
+func TestAlertEditsInDetailOrder(t *testing.T) {
+	s := baseline(t, `{"a":1}`)
+	want := []metrics.Edit{
+		{Path: "$", Op: "add-optional", Detail: "alpha"},
+		{Path: "$", Op: "add-optional", Detail: "zeta"},
+	}
+	for run := 0; run < 50; run++ {
+		m := NewMonitor(s, Config{Window: 1})
+		alert := m.Observe(ty(t, `{"a":1,"zeta":true,"alpha":"x"}`))
+		if alert == nil {
+			t.Fatal("expected a drift alert")
+		}
+		if !reflect.DeepEqual(alert.Edits, want) {
+			t.Fatalf("run %d: edits %v, want %v", run, alert.Edits, want)
+		}
 	}
 }
 

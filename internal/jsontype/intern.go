@@ -85,6 +85,9 @@ func fnv1a[S string | []byte](h uint64, s S) uint64 {
 	return h
 }
 
+// fnvByte folds one byte into an FNV-1a state.
+func fnvByte(h uint64, c byte) uint64 { return (h ^ uint64(c)) * fnvPrime }
+
 // keyHash is the hash an object key contributes to its field's hash.
 //
 //jx:hotpath

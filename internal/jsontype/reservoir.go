@@ -34,7 +34,6 @@ type ReservoirBag struct {
 	capacity int
 	seed     int64
 
-	canon   []byte           // scratch for reservoirLnU's canonical form
 	entries []reservoirEntry // slot-addressed; freed slots recycled
 	free    []int            // recycled slots
 	index   map[uint64]int   // intern id -> slot
@@ -74,11 +73,11 @@ func NewReservoirBag(capacity int, seed int64) *ReservoirBag {
 // reservoirs. The canonical form — not the intern id or the structural
 // hash — is what makes the draw stable across processes and runs: intern
 // ids depend on interning order, which the decode worker pool does not
-// pin. The form is written into the reservoir's scratch buffer rather
-// than through Canon, so an admitted type gets no cached string.
+// pin. The form is hashed as it would be written (canonHash), not
+// rendered, so an admitted type gets no cached string and no byte of its
+// form is stored.
 func (r *ReservoirBag) reservoirLnU(t *Type) float64 {
-	r.canon = t.appendCanon(r.canon[:0])
-	h := fnv1a(fnvOffset, r.canon)
+	h := t.canonHash(fnvOffset)
 	h ^= uint64(r.seed)
 	// splitmix64 finalizer.
 	h ^= h >> 30

@@ -224,8 +224,7 @@ func Equal(a, b *Type) bool { return a == b }
 
 // appendCanon appends the canonical form of t to b and returns the
 // extended slice. It reads the cached form of any subtree that has one
-// but caches nothing, so a caller that only hashes the form leaves no
-// string behind.
+// but caches nothing.
 func (t *Type) appendCanon(b []byte) []byte {
 	if p := t.canon.Load(); p != nil {
 		return append(b, *p...)
@@ -263,10 +262,51 @@ func (t *Type) appendCanon(b []byte) []byte {
 	return b
 }
 
+// canonHash folds the canonical form of t into the FNV-1a state h and
+// returns the new state: fnv1a(h, t.appendCanon(nil)), byte for byte,
+// without writing the form out. A subtree with a cached form hashes that
+// string; keys are escaped as appendCanonKey escapes them. The primitives
+// are singletons whose forms are cached when they are built, so only
+// arrays and objects are walked.
+func (t *Type) canonHash(h uint64) uint64 {
+	if p := t.canon.Load(); p != nil {
+		return fnv1a(h, *p)
+	}
+	switch t.kind {
+	case KindArray:
+		h = fnvByte(h, '[')
+		for i, e := range t.elems {
+			if i > 0 {
+				h = fnvByte(h, ',')
+			}
+			h = e.canonHash(h)
+		}
+		h = fnvByte(h, ']')
+	case KindObject:
+		h = fnvByte(h, '{')
+		for i, f := range t.fields {
+			if i > 0 {
+				h = fnvByte(h, ',')
+			}
+			for j := 0; j < len(f.Key); j++ {
+				c := f.Key[j]
+				if canonEscaped[c] {
+					h = fnvByte(h, '\\')
+				}
+				h = fnvByte(h, c)
+			}
+			h = fnvByte(h, ':')
+			h = f.Type.canonHash(h)
+		}
+		h = fnvByte(h, '}')
+	}
+	return h
+}
+
 // canonEscaped marks the bytes that are structural in canonical forms.
 // A table lookup per byte, rather than strings.ContainsAny, which builds
-// its byte set on every call: canonical forms are rendered for every
-// type the reservoir admits.
+// its byte set on every call: the reservoir's hash looks up every key
+// byte of every type it admits.
 var canonEscaped = [256]bool{'\\': true, ':': true, ',': true, '{': true, '}': true, '[': true, ']': true}
 
 // appendCanonKey escapes the characters that are structural in canonical
