@@ -11,8 +11,8 @@ import (
 // workers observing the same structure assign different ids. The codec
 // therefore writes types *structurally*, as a table in which children
 // precede their parents, and writes references as table positions. On
-// decode every entry is rebuilt through NewArray/NewObject, i.e.
-// re-interned into the receiving process's table, so pointer-identity
+// decode every entry is rebuilt through the interner, i.e. re-interned
+// into the receiving process's table, so pointer-identity
 // equality (and everything built on it: Bag dedup keys, memo keys,
 // Similar's fast path) holds across the wire exactly as it does
 // in-process.
@@ -32,8 +32,9 @@ import (
 // Child refs always point at primitives or *earlier* table entries;
 // object keys are strictly increasing within an entry (Type.Fields is
 // key-sorted). The decoder rejects violations of either property, which
-// is what keeps it total on corrupt input: NewObject panics on duplicate
-// keys, so the decoder must never reach it with any.
+// is what keeps it total on corrupt input: the interner takes an object's
+// fields as sorted with unique keys, so the decoder must never reach it
+// with any others.
 
 // firstComplexRef is the reference of table entry 0.
 const firstComplexRef = 5
@@ -139,6 +140,12 @@ type TypeDecoder struct {
 // or out-of-range references, unsorted or duplicate object keys,
 // primitive kinds in the table, an entry nested deeper than MaxDepth)
 // yields an error.
+//
+// An entry is read into a reused scratch slice, which the interner copies
+// only for a type it has not seen. Each distinct key costs one string and
+// one keyHash per table, and an object's hash is summed as its fields are
+// read: the keys arrive strictly sorted, so an entry interns as it stands,
+// without NewObject's sort and per-field hashing.
 func DecodeTypeTable(data []byte) (*TypeDecoder, int, error) {
 	pos := 0
 	n, err := readUvarint(data, &pos, "type table length")
@@ -153,15 +160,17 @@ func DecodeTypeTable(data []byte) (*TypeDecoder, int, error) {
 	// depths[i] is entry i's nesting depth, tracked as the table is built:
 	// a primitive is 0 and a container is 1 plus its deepest child.
 	depths := make([]int, 0, n)
+	keys := map[string]tableKey{} // decoded key -> its string and keyHash
+	var elems []*Type
+	var fields []Field
 	for i := uint64(0); i < n; i++ {
 		if pos >= len(data) {
 			return nil, 0, fmt.Errorf("jsontype: type table truncated at entry %d", i)
 		}
 		kind := Kind(data[pos])
 		pos++
-		var elems []*Type
-		var fields []Field
-		depth := 0 // the deepest child's
+		var h uint64 // an object's hashFields, summed as its fields are read
+		depth := 0   // the deepest child's
 		switch kind {
 		case KindArray:
 			m, err := readUvarint(data, &pos, "array length")
@@ -171,13 +180,13 @@ func DecodeTypeTable(data []byte) (*TypeDecoder, int, error) {
 			if m > uint64(len(data)-pos) {
 				return nil, 0, fmt.Errorf("jsontype: array entry claims %d elements with %d bytes left", m, len(data)-pos)
 			}
-			elems = make([]*Type, m)
-			for j := range elems {
-				c, cd, err := d.readRef(data, &pos, uint64(i), depths)
+			elems = elems[:0]
+			for j := uint64(0); j < m; j++ {
+				c, cd, err := d.readRef(data, &pos, i, depths)
 				if err != nil {
 					return nil, 0, err
 				}
-				elems[j], depth = c, max(depth, cd)
+				elems, depth = append(elems, c), max(depth, cd)
 			}
 		case KindObject:
 			m, err := readUvarint(data, &pos, "field count")
@@ -187,9 +196,9 @@ func DecodeTypeTable(data []byte) (*TypeDecoder, int, error) {
 			if m > uint64(len(data)-pos) {
 				return nil, 0, fmt.Errorf("jsontype: object entry claims %d fields with %d bytes left", m, len(data)-pos)
 			}
-			fields = make([]Field, m)
+			fields = fields[:0]
 			prev := ""
-			for j := range fields {
+			for j := uint64(0); j < m; j++ {
 				kl, err := readUvarint(data, &pos, "key length")
 				if err != nil {
 					return nil, 0, err
@@ -197,17 +206,24 @@ func DecodeTypeTable(data []byte) (*TypeDecoder, int, error) {
 				if kl > uint64(len(data)-pos) {
 					return nil, 0, fmt.Errorf("jsontype: key length %d exceeds %d remaining bytes", kl, len(data)-pos)
 				}
-				key := string(data[pos : pos+int(kl)])
+				raw := data[pos : pos+int(kl)]
 				pos += int(kl)
-				if j > 0 && key <= prev {
-					return nil, 0, fmt.Errorf("jsontype: object keys not strictly sorted (%q after %q)", key, prev)
+				k, ok := keys[string(raw)] // lookup: no copy
+				if !ok {
+					k.key = string(raw)
+					k.hash = keyHash(k.key)
+					keys[k.key] = k
 				}
-				prev = key
-				c, cd, err := d.readRef(data, &pos, uint64(i), depths)
+				if j > 0 && k.key <= prev {
+					return nil, 0, fmt.Errorf("jsontype: object keys not strictly sorted (%q after %q)", k.key, prev)
+				}
+				prev = k.key
+				c, cd, err := d.readRef(data, &pos, i, depths)
 				if err != nil {
 					return nil, 0, err
 				}
-				fields[j], depth = Field{Key: key, Type: c}, max(depth, cd)
+				fields, depth = append(fields, Field{Key: k.key, Type: c}), max(depth, cd)
+				h += fieldHash(k.hash, c)
 			}
 		default:
 			return nil, 0, fmt.Errorf("jsontype: invalid kind byte %d in type table", kind)
@@ -217,12 +233,18 @@ func DecodeTypeTable(data []byte) (*TypeDecoder, int, error) {
 		}
 		depths = append(depths, depth+1)
 		if kind == KindArray {
-			d.table = append(d.table, NewArray(elems))
+			d.table = append(d.table, internArrayScratch(elems))
 		} else {
-			d.table = append(d.table, NewObject(fields))
+			d.table = append(d.table, internObject(h, fields, true))
 		}
 	}
 	return d, pos, nil
+}
+
+// tableKey is one distinct object key of a type table being decoded.
+type tableKey struct {
+	key  string
+	hash uint64 // keyHash(key)
 }
 
 // readRef reads one child reference for table entry `entry`, enforcing

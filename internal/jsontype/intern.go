@@ -1,8 +1,10 @@
 package jsontype
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
+	"weak"
 )
 
 // Hash-consing interner. Every complex Type is registered in a sharded
@@ -31,24 +33,47 @@ import (
 //   - repeated records allocate no new type nodes — only the first
 //     occurrence of each distinct subtree costs a node.
 //
-// The table is append-only and safe for concurrent use (the ingest worker
-// pool decodes in parallel). It grows with the distinct structure observed
-// over the process lifetime — the same asymptote as any single retained
-// Bag — and is never reset: released types would otherwise be re-interned
-// as fresh pointers while stale pointers to the old nodes survive,
-// silently breaking pointer equality.
+// The table is safe for concurrent use (the ingest worker pool decodes in
+// parallel), and its entries are weak, as in the standard unique package:
+// each entry is a weak.Pointer, so the table keeps no type alive. A type
+// that anything can still compare against is strongly reachable, so its
+// entry stays live and every build of its structure returns it. Once no
+// one holds a type, the collector frees it and its entry reads nil; a
+// later build of the same structure misses and makes a fresh type with a
+// fresh id, which nothing alive can compare against the old one. Ids are
+// never reused, so an id-keyed map (Bag's index, the merge memo's bag
+// hash, a partition plan, the reservoir's index, the sketch decoder's
+// dedup set) can miss on a re-created type but never hits falsely. The
+// table so follows the distinct structure that is still held — a
+// retained Bag, the reservoir, the window ring — not all structure ever
+// observed, which is what keeps a bounded stream in flat memory.
 //
-// Append-only also means that one list of (key, child) fields always
-// interns to the same pointer. Each scanner relies on that to cache the
-// types of the object shapes it read last (shape in scan.go): a repeated
-// object skips the sort, the duplicate collapse and the shard lock. A
-// pooled scanner so keeps up to 256 types alive.
+// Dead entries are dropped in place by a per-shard sweep (internShard.add)
+// once a GC cycle has completed since the shard's last sweep and the
+// shard has taken as many inserts as that sweep kept entries (at least
+// 64), so sweeping costs O(1) amortized per insert.
+//
+// One list of (key, child) fields interns to the same pointer for as long
+// as anything holds that pointer. Each scanner relies on that to cache the
+// types of the object and array shapes it read last (shape in scan.go): a
+// slot holds its type strongly, so the type's entry cannot be dropped
+// while the slot holds it, and a repeated shape skips the sort, the
+// duplicate collapse and the shard lock. A pooled scanner so keeps up to
+// 512 types alive.
 
 const internShardCount = 64 // power of two; shard = hash & (count-1)
 
 type internShard struct {
 	mu sync.Mutex
-	m  map[uint64][]*Type // structural hash -> bucket
+	// m holds one entry per structural hash and more the entries that
+	// collide with it, so nearly every entry costs one map slot and no
+	// slice of its own.
+	m    map[uint64]weak.Pointer[Type]
+	more map[uint64][]weak.Pointer[Type]
+
+	inserts int    // entries added since the last sweep
+	kept    int    // entries the last sweep kept
+	swept   uint64 // gcCycles at the last sweep
 }
 
 var (
@@ -58,9 +83,29 @@ var (
 
 func init() {
 	for i := range internShards {
-		internShards[i].m = make(map[uint64][]*Type)
+		internShards[i].m = make(map[uint64]weak.Pointer[Type])
+		internShards[i].more = make(map[uint64][]weak.Pointer[Type])
 	}
 	internNextID.Store(4)
+	armGCSentinel()
+}
+
+// gcCycles counts the GC cycles that have completed, as seen by a
+// sentinel that each cycle collects and whose cleanup re-arms it. A shard
+// sweeps only after a cycle, since before one no entry can have died.
+var gcCycles atomic.Uint64
+
+// gcSentinel is allocated only to be collected. It holds a pointer so
+// that it is not a tiny allocation: tiny objects share a block, which
+// stays live while any object in it is, so a cleanup on one might never
+// run.
+type gcSentinel struct{ _ *gcSentinel }
+
+func armGCSentinel() {
+	runtime.AddCleanup(&gcSentinel{}, func(struct{}) {
+		gcCycles.Add(1)
+		armGCSentinel()
+	}, struct{}{})
 }
 
 // newPrimitiveSingleton builds one of the four primitive singletons with a
@@ -139,7 +184,7 @@ func hashFields(fields []Field) uint64 {
 // slice is retained on a miss.
 //
 //jx:hotpath
-func internArray(elems []*Type) *Type { return internArraySlice(elems, false) }
+func internArray(elems []*Type) *Type { return internArraySlice(hashArray(elems), elems, false) }
 
 // internArrayScratch is internArray for callers reusing a scratch buffer:
 // the slice is copied on a miss and never retained, so the caller may
@@ -147,15 +192,21 @@ func internArray(elems []*Type) *Type { return internArraySlice(elems, false) }
 // allocation-free once the distinct types have been seen.
 //
 //jx:hotpath
-func internArrayScratch(elems []*Type) *Type { return internArraySlice(elems, true) }
+func internArrayScratch(elems []*Type) *Type { return internArraySlice(hashArray(elems), elems, true) }
 
+// internArraySlice is internArray and internArrayScratch for elems whose
+// hashArray hash is h.
+//
 //jx:hotpath
-func internArraySlice(elems []*Type, scratch bool) *Type {
-	h := hashArray(elems)
+func internArraySlice(h uint64, elems []*Type, scratch bool) *Type {
 	shard := &internShards[h&(internShardCount-1)]
 	shard.mu.Lock()
-	for _, c := range shard.m[h] {
-		if c.kind == KindArray && sameElems(c.elems, elems) {
+	if c := shard.m[h].Value(); c != nil && c.kind == KindArray && sameElems(c.elems, elems) {
+		shard.mu.Unlock()
+		return c
+	}
+	for _, w := range shard.more[h] {
+		if c := w.Value(); c != nil && c.kind == KindArray && sameElems(c.elems, elems) {
 			shard.mu.Unlock()
 			return c
 		}
@@ -163,8 +214,7 @@ func internArraySlice(elems []*Type, scratch bool) *Type {
 	if scratch {
 		elems = append([]*Type(nil), elems...)
 	}
-	t := &Type{kind: KindArray, elems: elems, id: internNextID.Add(1)}
-	shard.m[h] = append(shard.m[h], t)
+	t := shard.add(h, &Type{kind: KindArray, elems: elems})
 	shard.mu.Unlock()
 	return t
 }
@@ -178,8 +228,12 @@ func internArraySlice(elems []*Type, scratch bool) *Type {
 func internObject(h uint64, fields []Field, scratch bool) *Type {
 	shard := &internShards[h&(internShardCount-1)]
 	shard.mu.Lock()
-	for _, c := range shard.m[h] {
-		if c.kind == KindObject && sameFields(c.fields, fields) {
+	if c := shard.m[h].Value(); c != nil && c.kind == KindObject && sameFields(c.fields, fields) {
+		shard.mu.Unlock()
+		return c
+	}
+	for _, w := range shard.more[h] {
+		if c := w.Value(); c != nil && c.kind == KindObject && sameFields(c.fields, fields) {
 			shard.mu.Unlock()
 			return c
 		}
@@ -187,10 +241,57 @@ func internObject(h uint64, fields []Field, scratch bool) *Type {
 	if scratch {
 		fields = append([]Field(nil), fields...)
 	}
-	t := &Type{kind: KindObject, fields: fields, id: internNextID.Add(1)}
-	shard.m[h] = append(shard.m[h], t)
+	t := shard.add(h, &Type{kind: KindObject, fields: fields})
 	shard.mu.Unlock()
 	return t
+}
+
+// add registers t, a type no live entry matches, under hash h: it gives t
+// the next id and a weak entry, and sweeps the shard when a GC cycle has
+// completed since its last sweep and it has taken at least as many
+// inserts as that sweep kept entries. The caller holds s.mu.
+//
+//jx:coldpath runs once per distinct type
+func (s *internShard) add(h uint64, t *Type) *Type {
+	t.id = internNextID.Add(1)
+	w := weak.Make(t)
+	if s.m[h].Value() == nil {
+		s.m[h] = w // the hash's first entry, or one whose type died
+	} else {
+		s.more[h] = append(s.more[h], w)
+	}
+	s.inserts++
+	if s.inserts >= max(64, s.kept) && gcCycles.Load() != s.swept {
+		s.sweep()
+	}
+	return t
+}
+
+// sweep drops the entries whose types have been collected, in place. The
+// caller holds s.mu.
+func (s *internShard) sweep() {
+	for h, w := range s.m {
+		if w.Value() == nil {
+			delete(s.m, h)
+		}
+	}
+	kept := len(s.m)
+	for h, b := range s.more {
+		live := b[:0]
+		for _, w := range b {
+			if w.Value() != nil {
+				live = append(live, w)
+			}
+		}
+		clear(b[len(live):])
+		if len(live) == 0 {
+			delete(s.more, h)
+		} else {
+			s.more[h] = live
+		}
+		kept += len(live)
+	}
+	s.inserts, s.kept, s.swept = 0, kept, gcCycles.Load()
 }
 
 // sameElems compares two child lists by pointer — sound because children
@@ -222,6 +323,9 @@ func sameFields(a, b []Field) bool {
 	return true
 }
 
-// InternedTypes reports the number of distinct complex types interned so
-// far (primitives excluded) — an observability hook for memory accounting.
+// InternedTypes reports the number of complex types interned so far
+// (primitives excluded), counting every type ever made, including types
+// since collected and structures made again after they were: the number
+// of intern misses, an observability hook for memory accounting. The
+// number alive is at most this.
 func InternedTypes() uint64 { return internNextID.Load() - 4 }

@@ -1,9 +1,12 @@
 package jsontype
 
 import (
+	"runtime"
+	"runtime/debug"
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestConcurrentIntern races 8 goroutines over the same set of novel
@@ -83,4 +86,61 @@ func TestConcurrentIntern(t *testing.T) {
 	if grew := InternedTypes() - before; grew != 3*shapes {
 		t.Errorf("interner grew by %d types, want %d", grew, 3*shapes)
 	}
+}
+
+// TestInternReclaims checks the interner's weak entries: types nothing
+// holds are dropped from their shards after two collections and a sweep,
+// a type held across them keeps its pointer and its id, and a dropped
+// structure built twice again yields one fresh pointer with a fresh id.
+func TestInternReclaims(t *testing.T) {
+	const n = 1000
+	prefix := "reclaim" + strconv.FormatUint(InternedTypes(), 10) + "."
+	build := func(i int) *Type {
+		return NewObject([]Field{{Key: prefix + strconv.Itoa(i), Type: Number}})
+	}
+	// Collections happen only where the test asks for them, so no shard
+	// sweeps on its own while entries are counted.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	SweepInterner()
+	before := InternEntries()
+	held := build(0)
+	heldID := held.ID()
+	fresh := make([]*Type, n+1)
+	ids := make([]uint64, n+1)
+	for i := 1; i <= n; i++ {
+		fresh[i] = build(i)
+		ids[i] = fresh[i].ID()
+	}
+	if got := InternEntries() - before; got != n+1 {
+		t.Fatalf("interning %d fresh types added %d entries", n+1, got)
+	}
+	fresh = nil
+
+	cycles := GCCycles()
+	runtime.GC()
+	runtime.GC()
+	// The GC counter's sentinel is collected at each cycle, and its cleanup
+	// runs on its own goroutine soon after.
+	for i := 0; i < 1000 && GCCycles() == cycles; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	if GCCycles() == cycles {
+		t.Error("the GC cycle counter did not advance across two collections")
+	}
+	SweepInterner()
+	if after := InternEntries(); after > before+1 {
+		t.Errorf("%d entries after the sweep, want at most %d: the %d dropped types are still in the table",
+			after, before+1, n)
+	}
+	if again := build(0); again != held || again.ID() != heldID {
+		t.Errorf("held type came back as a different type (id %d, want %d)", again.ID(), heldID)
+	}
+	a, b := build(1), build(1)
+	if a != b {
+		t.Error("two builds of a dropped structure gave two pointers")
+	}
+	if a.ID() == ids[1] {
+		t.Errorf("a dropped structure built again kept its old id %d", a.ID())
+	}
+	runtime.KeepAlive(held)
 }

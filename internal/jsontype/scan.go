@@ -28,7 +28,8 @@ import (
 // hash and its child's id, to its object's intern hash. An object whose
 // fields, in source order, match the shape cache slot their hash picks
 // takes its type from the slot; only a miss sorts the fields and locks an
-// interner shard.
+// interner shard. An array whose elements match the array cache slot
+// their hash picks takes its type from that slot the same way.
 //
 // The scanner validates framing only: delimiters, literals, and where
 // each string ends. It does not validate string contents — escape
@@ -47,23 +48,27 @@ type typeScanner struct {
 	elems  []*Type  // shared stack for in-flight array elements
 
 	shapes [shapeSlots]shape // object shapes seen, by the top bits of their hash
+	arrays [shapeSlots]*Type // array types seen, by the top bits of their hash
 }
 
-// A scanner's shape cache is direct-mapped by the top shapeBits bits of
-// an object's field-hash sum, so it holds the last object read in each of
-// its shapeSlots slots.
+// A scanner's shape caches are direct-mapped by the top shapeBits bits of
+// an object's field-hash sum or an array's hashArray, so each holds the
+// last object or array read in each of its shapeSlots slots.
 const (
 	shapeBits  = 8
 	shapeSlots = 1 << shapeBits
 )
 
-// shape is one slot of the shape cache: an object's fields in source
-// order, duplicates included, with their hash sum and the interned type
-// they make. The interner is append-only, so one source-order (key,
-// child) list always sorts, collapses (last duplicate wins) and interns to
-// the same pointer: a slot can stand in for that work on the list it
-// holds. Keys come from the key table and children from the interner, so
-// a slot never aliases input bytes.
+// shape is one slot of the object shape cache: an object's fields in
+// source order, duplicates included, with their hash sum and the interned
+// type they make. One source-order (key, child) list sorts, collapses
+// (last duplicate wins) and interns to the same pointer for as long as
+// that pointer is held, and the slot holds it: the type's interner entry
+// cannot be dropped while the slot holds the type, so a slot can stand in
+// for that work on the list it holds. Keys come from the key table and
+// children from the interner, so a slot never aliases input bytes. An
+// array cache slot needs no list of its own: an array's type holds its
+// elements in source order.
 type shape struct {
 	hash   uint64
 	fields []Field
@@ -321,12 +326,20 @@ func (s *typeScanner) internKey(h uint64, quoted []byte, escaped bool) (string, 
 	return k, kh, nil
 }
 
+// keyTableMax caps a key table's entries. Real key vocabularies sit far
+// below it (wide-256, the largest generated one, has 2,562 distinct keys),
+// while a stream of novel keys, such as one session key per record, would
+// otherwise grow the table for the scanner's whole life.
+const keyTableMax = 4096
+
 // keyTable maps each distinct raw key a scanner has read — the bytes
 // between the quotes — to its decoded string and keyHash. It is
 // open-addressed with linear probing, indexed by the top bits of the raw
 // hash (the ones mix spreads best), and kept at most half full. A hit is
 // confirmed by comparing the raw bytes, so the raw hash may be any
-// function of them.
+// function of them. Once it holds keyTableMax entries the next insert
+// empties it first: the keys read again later then each cost one more
+// miss, and the table stays at 2*keyTableMax slots.
 type keyTable struct {
 	slots []keyEntry // length a power of two, or zero before the first key
 	shift uint       // 64 - log2(len(slots))
@@ -360,12 +373,16 @@ func (t *keyTable) find(h uint64, raw []byte) *keyEntry {
 	}
 }
 
-// insert adds an entry absent from the table, doubling the table first
-// when that would fill more than half of it.
+// insert adds an entry absent from the table, emptying the table first
+// when it holds keyTableMax entries, or else doubling it when the entry
+// would fill more than half of it.
 //
 //jx:coldpath runs once per distinct raw key
 func (t *keyTable) insert(e keyEntry) {
-	if 2*(t.n+1) > len(t.slots) {
+	if t.n >= keyTableMax {
+		clear(t.slots)
+		t.n = 0
+	} else if 2*(t.n+1) > len(t.slots) {
 		old := t.slots
 		size := max(64, 2*len(old))
 		t.slots, t.shift, t.n = make([]keyEntry, size), uint(64-bits.TrailingZeros(uint(size))), 0
@@ -495,7 +512,7 @@ func (s *typeScanner) array(depth int) (*Type, error) {
 	}
 	if s.data[s.pos] == ']' {
 		s.pos++
-		return internArrayScratch(nil), nil
+		return s.arrayType(mark), nil
 	}
 	for {
 		v, err := s.value(depth)
@@ -516,9 +533,23 @@ func (s *typeScanner) array(depth int) (*Type, error) {
 		}
 		return nil, s.errf("expected ',' or ']' in array")
 	}
-	t := internArrayScratch(s.elems[mark:])
+	return s.arrayType(mark), nil
+}
+
+// arrayType pops the elements of the array just read, which sit on the
+// elems stack from mark, and returns its interned type: from the array
+// cache, or else from the interner, after which the slot holds it.
+//
+//jx:hotpath
+func (s *typeScanner) arrayType(mark int) *Type {
+	seg := s.elems[mark:]
+	h := hashArray(seg)
+	slot := &s.arrays[h>>(64-shapeBits)]
+	if t := *slot; t == nil || !sameElems(t.elems, seg) {
+		*slot = internArraySlice(h, seg, true)
+	}
 	s.elems = s.elems[:mark]
-	return t, nil
+	return *slot
 }
 
 // sortFieldsStable sorts fields by key, stably. Small segments — the

@@ -161,3 +161,67 @@ func TestShapeCacheMatchesFromValue(t *testing.T) {
 		}
 	}
 }
+
+// TestKeyTableCapped checks the scanner's key table bound. A scanner that
+// reads keyTableMax+k distinct keys holds at most keyTableMax of them and
+// never grows past 2*keyTableMax slots, and every object it scans still
+// interns to the type NewObject builds. A 2,562-key vocabulary, the size of
+// wide-256's, scanned twice fits without a clear: the second pass finds
+// every key in the table.
+func TestKeyTableCapped(t *testing.T) {
+	// scan reads objects of up to 8 keys each, named by keys, plus one
+	// escaped key, and compares each with the object NewObject builds.
+	scan := func(s *typeScanner, keys []string) {
+		t.Helper()
+		for i := 0; i < len(keys); i += 8 {
+			var doc strings.Builder
+			var want []Field
+			doc.WriteString(`{"e\u0073c":1`)
+			want = append(want, Field{Key: "esc", Type: Number})
+			for _, k := range keys[i:min(i+8, len(keys))] {
+				fmt.Fprintf(&doc, ",%q:true", k)
+				want = append(want, Field{Key: k, Type: Bool})
+			}
+			doc.WriteString("}")
+			s.reset([]byte(doc.String()))
+			got, err := s.value(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != NewObject(want) {
+				t.Fatalf("%s scanned as %s", doc.String(), got.Canon())
+			}
+			if s.keys.n > keyTableMax || len(s.keys.slots) > 2*keyTableMax {
+				t.Fatalf("key table holds %d entries in %d slots, over its cap of %d",
+					s.keys.n, len(s.keys.slots), keyTableMax)
+			}
+		}
+	}
+	keys := func(prefix string, n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = prefix + strconv.Itoa(i)
+		}
+		return out
+	}
+
+	novel := keys("sess_", keyTableMax+1000)
+	s := new(typeScanner)
+	scan(s, novel)
+	if s.keys.n >= keyTableMax {
+		t.Errorf("key table holds %d entries after %d distinct keys; it never cleared", s.keys.n, len(novel)+1)
+	}
+	scan(s, novel) // the cleared keys are read back in
+
+	vocabulary := keys("field_", 2562)
+	s = new(typeScanner)
+	scan(s, vocabulary)
+	if want := len(vocabulary) + 1; s.keys.n != want {
+		t.Fatalf("key table holds %d entries after one pass, want %d", s.keys.n, want)
+	}
+	slots := &s.keys.slots[0]
+	scan(s, vocabulary)
+	if want := len(vocabulary) + 1; s.keys.n != want || &s.keys.slots[0] != slots {
+		t.Errorf("second pass over %d keys changed the table: %d entries, want %d", want, s.keys.n, want)
+	}
+}

@@ -18,7 +18,8 @@
 //     packages;
 //   - a small intrinsic allowlist: builtins plus the handful of stdlib
 //     calls the hot path relies on (sync.Pool, sync.Mutex, atomic
-//     counters, math/bits, binary.LittleEndian), all allocation-free.
+//     counters, math/bits, binary.LittleEndian, weak.Pointer.Value), all
+//     allocation-free.
 //
 // Indirect calls are resolved as far as in-package information allows:
 // calls through a function-typed parameter of the hot function (or of a
@@ -74,7 +75,8 @@ const (
 // synchronization and bit-twiddling primitives of the scanner, interner,
 // bitset, and wire-codec layers, none of which allocate (AppendUvarint
 // writes into the caller's buffer and amortizes exactly like the append
-// builtin it wraps).
+// builtin it wraps), and the interner's read of a weak entry. weak.Make
+// is not one: it allocates the pointer's handle on first use.
 var intrinsics = map[string]bool{
 	"(*sync.Pool).Get":                         true,
 	"(*sync.Pool).Put":                         true,
@@ -95,6 +97,7 @@ var intrinsics = map[string]bool{
 	"(encoding/binary.littleEndian).Uint64":    true,
 	"encoding/binary.Uvarint":                  true,
 	"encoding/binary.AppendUvarint":            true,
+	"(weak.Pointer[T]).Value":                  true,
 }
 
 func hotTagged(fd *ast.FuncDecl) bool {

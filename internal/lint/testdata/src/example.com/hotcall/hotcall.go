@@ -6,6 +6,7 @@ package hotcall
 import (
 	"math/bits"
 	"sync"
+	"weak"
 
 	"example.com/coldlib"
 )
@@ -178,4 +179,15 @@ func (s *stack[T]) grow(n int) { s.items = make([]T, 0, n) }
 func useGenericMethods(s *stack[int]) {
 	s.push(1)
 	s.grow(4) // want `hot-path function useGenericMethods calls grow`
+}
+
+// deref reads a weak pointer, which is an intrinsic, but may not make
+// one: weak.Make allocates the pointer's handle on first use.
+//
+//jx:hotpath
+func deref(w weak.Pointer[counter], c *counter) int {
+	if p := w.Value(); p != nil {
+		return p.n
+	}
+	return weak.Make(c).Value().n // want `hot-path function deref calls weak\.Make`
 }
