@@ -10,22 +10,24 @@
 // a sketch carries data statistics only. The reduce phase merges sketch
 // files *in argument order* — as a parallel tree when -reduce-workers
 // allows — and runs passes ②/③ once under the supplied configuration. run
-// is the single-machine driver: it streams the input into contiguous
-// shards, one `jxshard map` worker process per shard, and tree-reduces
-// their sketches.
+// is the single-machine driver: it cuts the input into contiguous byte
+// ranges, starts one `jxshard map` worker process per range at once, and
+// tree-reduces their sketches.
 //
 // Shards are contiguous ranges, not round-robin deals: concatenating the
 // shards reproduces the input stream, so reducing in shard order rebuilds
 // the exact first-seen type order a single process would have observed and
 // the discovered schema is byte-identical to a non-sharded run. The driver
-// never materializes the corpus: shard boundaries are found by scanning
-// record frames against byte quotas and each record is forwarded straight
-// to its worker's stdin, so the driver's memory is O(record), not
-// O(corpus).
+// never materializes the corpus and forwards no record: every worker gets
+// the driver's open input file as its stdin and its range in the
+// JXSHARD_RANGE environment variable (start:end, in bytes), and reads that
+// range itself with pread, which ignores the file offset the workers
+// share. A worker whose record fails numbers it as a record of the whole
+// input, by counting what comes before its range, so its error names the
+// line or record jxplain would name.
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -142,13 +144,40 @@ func runMap(args []string, stdin io.Reader, stdout io.Writer) error {
 		return err
 	}
 	defer closeIn()
+	input, prefix, err := shardRange(input)
+	if err != nil {
+		return fmt.Errorf("map: %w", err)
+	}
 
 	res, err := stream.Run(context.Background(), input, core.Default(), stream.Plan{
-		Options: stream.Options{ChunkSize: *chunk, Workers: *workers, JSONL: *jsonl}})
+		Options: stream.Options{ChunkSize: *chunk, Workers: *workers, JSONL: *jsonl}, Prefix: prefix})
 	if err != nil {
 		return fmt.Errorf("map: %w", err)
 	}
 	return stream.WriteSketch(stdout, res.Acc, *out)
+}
+
+// rangeEnv names the environment variable in which run gives each map
+// worker its byte range of the input, as start:end.
+const rangeEnv = "JXSHARD_RANGE"
+
+// shardRange returns what a map worker reads: its range of input, and the
+// bytes before the range as the prefix, when run set rangeEnv; else all of
+// input and no prefix.
+func shardRange(input io.Reader) (io.Reader, io.Reader, error) {
+	spec, ok := os.LookupEnv(rangeEnv)
+	if !ok {
+		return input, nil, nil
+	}
+	var start, end int64
+	if _, err := fmt.Sscanf(spec, "%d:%d", &start, &end); err != nil || start < 0 || end < start {
+		return nil, nil, fmt.Errorf("bad %s %q", rangeEnv, spec)
+	}
+	file, ok := input.(io.ReaderAt)
+	if !ok {
+		return nil, nil, fmt.Errorf("%s needs a file as input", rangeEnv)
+	}
+	return io.NewSectionReader(file, start, end-start), io.NewSectionReader(file, 0, start), nil
 }
 
 // runReduce reduces the sketch files named on the command line.
@@ -168,16 +197,14 @@ func runReduce(args []string, stdout io.Writer) error {
 	return f.reduce(stdout, cfg, fs.Args())
 }
 
-// runRun is the single-machine scale-out driver: contiguous streamed
-// split, one map worker process per shard, tree reduce in shard order.
+// runRun is the single-machine scale-out driver: contiguous byte ranges,
+// one map worker process per range, tree reduce in shard order.
 //
-// The input is never read into memory. Shard boundaries are byte quotas
-// over the input size (a Stat for regular files; anything else is spooled
-// to a temp file first, through a bounded copy buffer): each record is
-// scanned off the stream and forwarded to the current worker's stdin, and
-// the driver moves to the next worker at the first record boundary past
-// the quota. Workers are started upfront, so shard i decodes while shards
-// i+1.. are still being fed.
+// The driver reads no more of the input than it needs to place the cuts
+// (ingest.Cuts): a fixed buffer at each byte quota for JSONL, the framed
+// records up to the last cut otherwise. Every worker starts at once and
+// reads its own range of the driver's input file, which is the named file,
+// a regular-file stdin, or a spool of any other stdin.
 func runRun(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("jxshard run", flag.ContinueOnError)
 	f := newReduceFlags(fs)
@@ -207,11 +234,15 @@ func runRun(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	}
 	defer os.RemoveAll(tmp)
 
-	size, input, cleanInput, err := sizedInput(input, tmp)
+	file, size, cleanInput, err := sizedInput(input, tmp)
 	if err != nil {
 		return err
 	}
 	defer cleanInput()
+	cuts, err := ingest.Cuts(file, size, *shards, *jsonl)
+	if err != nil {
+		return fmt.Errorf("cutting the input: %w", err)
+	}
 
 	exe, err := os.Executable()
 	if err != nil {
@@ -227,30 +258,33 @@ func runRun(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	if *chunk > 0 {
 		mapArgs = append(mapArgs, "-chunk", fmt.Sprint(*chunk))
 	}
-	sketches, err := feedShards(input, size, *shards, *jsonl, tmp, exe, mapArgs, stderr)
+	sketches, err := mapShards(file, cuts, tmp, exe, mapArgs, stderr)
 	if err != nil {
 		return err
 	}
 	return f.reduce(stdout, cfg, sketches)
 }
 
-// sizedInput returns the input's byte size for quota computation, plus a
-// cleanup releasing whatever the sizing allocated. A regular file answers
-// with a Stat and needs no cleanup (the caller owns the handle); any
-// other reader (a pipe, a terminal) is spooled into dir through io.Copy's
-// bounded buffer — still O(buffer) memory — and replaced by the spool
-// file, which the cleanup closes and removes. Error paths inside release
-// the spool themselves, so a failed spool never outlives the call.
-func sizedInput(input io.Reader, dir string) (int64, io.Reader, func(), error) {
+// sizedInput returns the input as a file the workers can read ranges of,
+// its byte size, and a cleanup releasing whatever the sizing allocated. A
+// regular file read from its start is used as it is and needs no cleanup
+// (the caller owns the handle); any other reader (a pipe, a terminal, a
+// file read from part way) is spooled into dir through io.Copy's bounded
+// buffer, and the cleanup closes and removes the spool. Error paths inside
+// release the spool themselves, so a failed spool never outlives the call.
+func sizedInput(input io.Reader, dir string) (*os.File, int64, func(), error) {
 	if f, ok := input.(*os.File); ok {
-		if info, err := f.Stat(); err == nil && info.Mode().IsRegular() {
-			return info.Size(), f, func() {}, nil
+		info, err := f.Stat()
+		if err == nil && info.Mode().IsRegular() {
+			if at, err := f.Seek(0, io.SeekCurrent); err == nil && at == 0 {
+				return f, info.Size(), func() {}, nil
+			}
 		}
 	}
 	path := filepath.Join(dir, "input.spool")
 	spool, err := os.Create(path)
 	if err != nil {
-		return 0, nil, nil, err
+		return nil, 0, nil, err
 	}
 	cleanup := func() {
 		spool.Close()
@@ -259,100 +293,39 @@ func sizedInput(input io.Reader, dir string) (int64, io.Reader, func(), error) {
 	size, err := io.Copy(spool, input)
 	if err != nil {
 		cleanup()
-		return 0, nil, nil, fmt.Errorf("spooling input: %w", err)
+		return nil, 0, nil, fmt.Errorf("spooling input: %w", err)
 	}
-	if _, err := spool.Seek(0, io.SeekStart); err != nil {
-		cleanup()
-		return 0, nil, nil, err
-	}
-	return size, spool, cleanup, nil
+	return spool, size, cleanup, nil
 }
 
-// mapWorker is one running `jxshard map` process being fed its shard over
-// stdin, through a buffer so that forwarding costs a pipe write per
-// buffer, not two per record.
-type mapWorker struct {
-	cmd   *exec.Cmd
-	stdin io.WriteCloser
-	buf   *bufio.Writer
-}
-
-// feedBufferSize is the forwarding buffer run keeps per shard.
-const feedBufferSize = 64 << 10
-
-// finish flushes what is buffered for the worker and closes its stdin, so
-// the worker sees the end of its shard.
-func (w *mapWorker) finish() error {
-	if err := w.buf.Flush(); err != nil {
-		w.stdin.Close()
-		return err
-	}
-	return w.stdin.Close()
-}
-
-// feedShards starts n map workers reading stdin and writing per-shard
-// sketch files into tmp, then scans the input record by record, streaming
-// each record to the current worker and advancing at the first record
-// boundary past the shard's byte quota (size·(i+1)/n). It waits for every
-// worker and returns the sketch paths in shard order.
-func feedShards(input io.Reader, size int64, n int, jsonl bool, tmp, exe string, mapArgs []string, stderr io.Writer) ([]string, error) {
-	sketches := make([]string, n)
-	workerz := make([]*mapWorker, n)
-	for i := range workerz {
+// mapShards starts a map worker for each range between successive cuts,
+// all at once, each reading its range of input and writing its sketch
+// into tmp. It waits for every worker and returns the sketch paths in
+// shard order.
+func mapShards(input *os.File, cuts []int64, tmp, exe string, mapArgs []string, stderr io.Writer) ([]string, error) {
+	sketches := make([]string, len(cuts)-1)
+	var started []*exec.Cmd
+	var err error
+	for i := range sketches {
 		sketches[i] = filepath.Join(tmp, fmt.Sprintf("shard%d.jxsk", i))
-		args := append([]string{"map", "-o", sketches[i]}, mapArgs...)
-		cmd := exec.Command(exe, args...)
-		cmd.Stderr = stderr
-		// Lets a test binary recognize it must act as jxshard.
-		cmd.Env = append(os.Environ(), "JXSHARD_WORKER_PROCESS=1")
-		w, err := cmd.StdinPipe()
-		if err != nil {
-			return nil, err
+		cmd := exec.Command(exe, append([]string{"map", "-o", sketches[i]}, mapArgs...)...)
+		cmd.Stdin, cmd.Stderr = input, stderr
+		// JXSHARD_WORKER_PROCESS lets a test binary recognize it must act
+		// as jxshard.
+		cmd.Env = append(os.Environ(), "JXSHARD_WORKER_PROCESS=1",
+			fmt.Sprintf("%s=%d:%d", rangeEnv, cuts[i], cuts[i+1]))
+		if err = cmd.Start(); err != nil {
+			break
 		}
-		if err := cmd.Start(); err != nil {
-			return nil, err
-		}
-		workerz[i] = &mapWorker{cmd: cmd, stdin: w, buf: bufio.NewWriterSize(w, feedBufferSize)}
+		started = append(started, cmd)
 	}
-	// On every return path, close any unfed stdin (workers see EOF and
-	// emit an empty sketch) and reap the processes.
-	cur, written := 0, int64(0)
-	scanErr := ingest.Records(input, ingest.Options{JSONL: jsonl}, func(rec []byte) error {
-		for cur < n-1 && written >= size*int64(cur+1)/int64(n) {
-			if err := workerz[cur].finish(); err != nil {
-				return fmt.Errorf("feeding shard %d: %w", cur, err)
-			}
-			cur++
-		}
-		w := workerz[cur].buf
-		if _, err := w.Write(rec); err != nil {
-			return fmt.Errorf("feeding shard %d: %w", cur, err)
-		}
-		if err := w.WriteByte('\n'); err != nil {
-			return fmt.Errorf("feeding shard %d: %w", cur, err)
-		}
-		written += int64(len(rec)) + 1
-		return nil
-	})
-	if scanErr == nil {
-		if err := workerz[cur].finish(); err != nil {
-			scanErr = fmt.Errorf("feeding shard %d: %w", cur, err)
+	for i, cmd := range started {
+		if werr := cmd.Wait(); werr != nil && err == nil {
+			err = fmt.Errorf("map worker %d: %w", i, werr)
 		}
 	}
-	var waitErr error
-	for i, w := range workerz {
-		w.stdin.Close() // idempotent; signals EOF to every remaining shard
-		if err := w.cmd.Wait(); err != nil && waitErr == nil {
-			waitErr = fmt.Errorf("map worker %d: %w", i, err)
-		}
-	}
-	// A worker failure usually explains the feed error (a broken pipe is
-	// the symptom, the worker's exit status the cause), so report it first.
-	if waitErr != nil {
-		return nil, waitErr
-	}
-	if scanErr != nil {
-		return nil, scanErr
+	if err != nil {
+		return nil, err
 	}
 	return sketches, nil
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,12 +12,14 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"jxplain/internal/core"
 	"jxplain/internal/dataset"
 	"jxplain/internal/ingest"
 	"jxplain/internal/jsontype"
+	"jxplain/internal/stream"
 )
 
 // TestMain lets the test binary stand in for the jxshard executable: the
@@ -137,6 +140,9 @@ func TestShardMapReduceGoldenUnevenShards(t *testing.T) {
 // empty-shard tolerance: more shards than distinct record boundaries in
 // one shard's slice is fine.
 func TestShardRunConcatenatedJSON(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
 	g, ok := dataset.ByName("github")
 	if !ok {
 		t.Fatal("github dataset missing")
@@ -187,6 +193,114 @@ func TestShardRunStdinSpool(t *testing.T) {
 	}
 	if want := goldenSchema(t, g.Name); !bytes.Equal(out.Bytes(), want) {
 		t.Errorf("stdin-fed schema diverges from golden\ngot:  %s\nwant: %s", out.Bytes(), want)
+	}
+}
+
+// pathless returns an open regular file holding data whose path is gone.
+func pathless(t *testing.T, data []byte) *os.File {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "input")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// TestShardRunRegularFileStdin drives run with stdin a regular file that
+// has no path any more: the workers must read the driver's open file, not
+// reopen it by name, and the schema must be the golden one. A stdin read
+// from part way must give the schema of the bytes after its offset.
+func TestShardRunRegularFileStdin(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	g, ok := dataset.ByName("twitter")
+	if !ok {
+		t.Fatal("twitter dataset missing")
+	}
+	input := datasetJSONL(t, g, 300)
+	ahead := datasetJSONL(t, dataset.GitHub(), 50)
+	part := pathless(t, append(ahead, input...))
+	if _, err := part.Seek(int64(len(ahead)), io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	for name, stdin := range map[string]*os.File{"whole": pathless(t, input), "part": part} {
+		var out bytes.Buffer
+		if err := run([]string{"run", "-shards", "3", "-jsonl", "-format", "native"}, stdin, &out, os.Stderr); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if want := goldenSchema(t, g.Name); !bytes.Equal(out.Bytes(), want) {
+			t.Errorf("%s: regular-file stdin schema diverges from golden\ngot:  %s\nwant: %s", name, out.Bytes(), want)
+		}
+	}
+}
+
+// lockedBuffer collects what several worker processes write to stderr.
+// exec copies each worker's stderr on a goroutine of its own, and a
+// bytes.Buffer shared by them is a race: its ReadFrom keeps the length it
+// saw when its read began.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+// TestShardRunNamesInputRecord puts a malformed record in the last of
+// three shards, after blank lines (JSONL) or after values whose strings
+// hold brackets and escaped quotes (concatenated JSON): the worker that
+// fails must name the record by its place in the whole input, with the
+// message jxplain's run path gives for the same input.
+func TestShardRunNamesInputRecord(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	var lines, values strings.Builder
+	for i := range 30 {
+		fmt.Fprintf(&lines, "{\"a\":%d}\n\n", i)
+		fmt.Fprintf(&values, "{\"a\":%d,\"b\":\"]\\\"}\"} ", i)
+	}
+	for _, c := range []struct {
+		input string
+		jsonl bool
+	}{
+		{lines.String() + "{bad\n{\"a\":31}\n", true},
+		{values.String() + "] {\"a\":31}", false},
+	} {
+		_, want := stream.Run(context.Background(), strings.NewReader(c.input), core.Default(),
+			stream.Plan{Options: stream.Options{JSONL: c.jsonl}})
+		if want == nil {
+			t.Fatalf("JSONL %v: the input reads without an error", c.jsonl)
+		}
+		input := filepath.Join(t.TempDir(), "input")
+		if err := os.WriteFile(input, []byte(c.input), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		args := []string{"run", "-shards", "3"}
+		if c.jsonl {
+			args = append(args, "-jsonl")
+		}
+		args = append(args, input)
+		var stderr lockedBuffer
+		err := run(args, nil, &bytes.Buffer{}, &stderr)
+		if err == nil || err.Error() != "map worker 2: exit status 1" {
+			t.Errorf("JSONL %v: err = %v, want the last of 3 map workers to fail", c.jsonl, err)
+		}
+		if got := strings.TrimSpace(stderr.b.String()); got != "jxshard: map: "+want.Error() {
+			t.Errorf("JSONL %v: worker says %q, want %q", c.jsonl, got, "jxshard: map: "+want.Error())
+		}
 	}
 }
 

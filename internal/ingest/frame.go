@@ -52,20 +52,29 @@ func withSlack(size int) int { return size + size/8 }
 // recordError names record i in err: by line for JSONL, counting the
 // newlines before the record (only on this error path), else by ordinal.
 func (b *block) recordError(i int, jsonl bool, err error) error {
+	n := b.first + i
 	if jsonl {
-		return recordError(true, b.first+bytes.Count(b.buf[:b.recs[i].start], []byte{'\n'}), err)
+		n = b.first + bytes.Count(b.buf[:b.recs[i].start], []byte{'\n'})
 	}
-	return recordError(false, b.first+i, err)
+	return &RecordError{JSONL: jsonl, N: n, Err: err}
 }
 
-// recordError names the record numbered n, a line for JSONL and an
-// ordinal otherwise, in err.
-func recordError(jsonl bool, n int, err error) error {
-	if jsonl {
-		return fmt.Errorf("line %d: %w", n, err)
-	}
-	return fmt.Errorf("record %d: %w", n, err)
+// RecordError names the record of a stream that failed: by its 1-based
+// line for JSONL, blank lines counted, else by its 1-based ordinal.
+type RecordError struct {
+	JSONL bool // N is a line, not an ordinal
+	N     int
+	Err   error
 }
+
+func (e *RecordError) Error() string {
+	if e.JSONL {
+		return fmt.Sprintf("line %d: %v", e.N, e.Err)
+	}
+	return fmt.Sprintf("record %d: %v", e.N, e.Err)
+}
+
+func (e *RecordError) Unwrap() error { return e.Err }
 
 // framer frames records: the non-blank lines of JSONL, found with one
 // bytes.IndexByte pass, or the values of concatenated JSON (valueEnd). It
@@ -151,7 +160,7 @@ func (f *framer) next() (start, end int, err error) {
 
 // tooLong reports that the line at pos reaches max bytes.
 func (f *framer) tooLong() error {
-	return fmt.Errorf("line %d: record exceeds %d bytes: %w", f.n, f.max, bufio.ErrTooLong)
+	return &RecordError{JSONL: true, N: f.n, Err: fmt.Errorf("record exceeds %d bytes: %w", f.max, bufio.ErrTooLong)}
 }
 
 // reserve grows buf, if needed, to hold a chunk of records records,

@@ -4,8 +4,9 @@
 //
 // This is the streaming front half of discovery, and the only reader of
 // records: Each and Fold feed the streaming pipeline, Types returns the
-// types of a stream in order, and Records hands raw records to a sharding
-// driver. One framer serves both formats: it ends a JSONL record at its
+// types of a stream in order, Records hands out raw records, and Cuts
+// divides an input into contiguous byte ranges for a sharding driver.
+// One framer serves both formats: it ends a JSONL record at its
 // newline and a concatenated one where a byte-level scan of the value
 // ends, and jsontype.FromJSON parses every record. A single splitter
 // goroutine frames raw records into blocks of Options.ChunkSize records
@@ -193,8 +194,7 @@ func Each(ctx context.Context, r io.Reader, opts Options, fn func(Chunk) error) 
 // JSONL line without its line end, or a concatenated value without the
 // whitespace around it. Only Options.JSONL and Options.MaxRecordBytes
 // apply. Memory is bounded by the largest single record, never by the
-// stream length, which is what lets a sharding driver cut a corpus into
-// contiguous ranges while holding O(record) bytes.
+// stream length.
 //
 // The slice passed to fn aliases an internal buffer and is only valid for
 // the duration of the call; fn must copy it if it needs to keep it. A
@@ -213,7 +213,7 @@ func Types(r io.Reader, opts Options) ([]*jsontype.Type, error) {
 	err := records(r, opts, func(rec []byte, n int) error {
 		t, err := jsontype.FromJSON(rec)
 		if err != nil {
-			return recordError(opts.JSONL, n, err)
+			return &RecordError{JSONL: opts.JSONL, N: n, Err: err}
 		}
 		types = append(types, t)
 		return nil

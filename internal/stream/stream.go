@@ -75,6 +75,11 @@ type Plan struct {
 	// cfg.Bounds replace it with a fresh one, which is an error once it
 	// holds records: bounds shape the state itself.
 	Acc *core.Accumulator
+	// Prefix, when non-nil, reads the part of the input that comes before
+	// the reader Run ingests. A record that fails is then named as a
+	// record of the whole input (ingest.Rebase), and Prefix is read only
+	// on that error.
+	Prefix io.Reader
 }
 
 // Result is what a run leaves behind.
@@ -131,6 +136,9 @@ func Run(ctx context.Context, r io.Reader, cfg core.Config, p Plan) (Result, err
 	}
 	var err error
 	if res.Records, err = ingest.Fold(ctx, r, in, res.Acc); err != nil {
+		if p.Prefix != nil {
+			err = ingest.Rebase(err, p.Prefix, p.JSONL)
+		}
 		return res, fmt.Errorf("decoding records: %w", err)
 	}
 	return res, nil
