@@ -12,7 +12,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 
 	"jxplain/internal/core"
@@ -243,26 +242,14 @@ func TestShardRunRegularFileStdin(t *testing.T) {
 	}
 }
 
-// lockedBuffer collects what several worker processes write to stderr.
-// exec copies each worker's stderr on a goroutine of its own, and a
-// bytes.Buffer shared by them is a race: its ReadFrom keeps the length it
-// saw when its read began.
-type lockedBuffer struct {
-	mu sync.Mutex
-	b  bytes.Buffer
-}
-
-func (l *lockedBuffer) Write(p []byte) (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.b.Write(p)
-}
-
 // TestShardRunNamesInputRecord puts a malformed record in the last of
 // three shards, after blank lines (JSONL) or after values whose strings
 // hold brackets and escaped quotes (concatenated JSON): the worker that
 // fails must name the record by its place in the whole input, with the
-// message jxplain's run path gives for the same input.
+// message jxplain's run path gives for the same input. With a second
+// malformed record in the first shard, both the first and the last worker
+// fail, and run must print the first one's message alone, the one jxplain
+// gives, and name that worker.
 func TestShardRunNamesInputRecord(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
@@ -273,11 +260,14 @@ func TestShardRunNamesInputRecord(t *testing.T) {
 		fmt.Fprintf(&values, "{\"a\":%d,\"b\":\"]\\\"}\"} ", i)
 	}
 	for _, c := range []struct {
-		input string
-		jsonl bool
+		input  string
+		jsonl  bool
+		worker int // the first worker to fail
 	}{
-		{lines.String() + "{bad\n{\"a\":31}\n", true},
-		{values.String() + "] {\"a\":31}", false},
+		{lines.String() + "{bad\n{\"a\":31}\n", true, 2},
+		{values.String() + "] {\"a\":31}", false, 2},
+		{"{\"a\":0}\n{bad1\n" + lines.String() + "{bad2\n{\"a\":31}\n", true, 0},
+		{"{\"a\":0} {\"a\":tru} " + values.String() + "] {\"a\":31}", false, 0},
 	} {
 		_, want := stream.Run(context.Background(), strings.NewReader(c.input), core.Default(),
 			stream.Plan{Options: stream.Options{JSONL: c.jsonl}})
@@ -293,13 +283,15 @@ func TestShardRunNamesInputRecord(t *testing.T) {
 			args = append(args, "-jsonl")
 		}
 		args = append(args, input)
-		var stderr lockedBuffer
+		// run writes the workers' stderr itself, after they exit, so a
+		// plain buffer has one writer.
+		var stderr bytes.Buffer
 		err := run(args, nil, &bytes.Buffer{}, &stderr)
-		if err == nil || err.Error() != "map worker 2: exit status 1" {
-			t.Errorf("JSONL %v: err = %v, want the last of 3 map workers to fail", c.jsonl, err)
+		if want := fmt.Sprintf("map worker %d: exit status 1", c.worker); err == nil || err.Error() != want {
+			t.Errorf("JSONL %v: err = %v, want %q", c.jsonl, err, want)
 		}
-		if got := strings.TrimSpace(stderr.b.String()); got != "jxshard: map: "+want.Error() {
-			t.Errorf("JSONL %v: worker says %q, want %q", c.jsonl, got, "jxshard: map: "+want.Error())
+		if got := strings.TrimSpace(stderr.String()); got != "jxshard: map: "+want.Error() {
+			t.Errorf("JSONL %v: workers say %q, want %q", c.jsonl, got, "jxshard: map: "+want.Error())
 		}
 	}
 }
