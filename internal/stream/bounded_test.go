@@ -24,9 +24,14 @@ var churnBounds = core.Bounds{ReservoirCapacity: 64, WindowRecords: 1000, Window
 // never repeats, whose value is structurally constant. Record i depends
 // on i alone, so a range can be read in parts. From record shift on, the
 // service tuple carries one more field, so windows see a path appear.
+// With nested set, the session key sits one level down, under "sessions",
+// so each record brings a new type below the root as well as at it; with
+// carried set too, the record also repeats the previous record's sessions
+// object under "prev", so each new root holds a type made a record before.
 type churnReader struct {
-	i, to, shift int
-	buf, rest    []byte
+	i, to, shift    int
+	nested, carried bool
+	buf, rest       []byte
 }
 
 func (r *churnReader) Read(p []byte) (int, error) {
@@ -54,15 +59,31 @@ func (r *churnReader) record(b []byte, i int) []byte {
 	if i >= r.shift {
 		b = append(b, `,"zone":{"az":"b"}`...)
 	}
+	b = append(b, `},`...)
+	if r.nested {
+		b = append(b, `"sessions":{`...)
+	}
+	b = session(b, i)
+	if r.nested {
+		b = append(b, '}')
+	}
+	if r.carried {
+		b = append(b, `,"prev":{`...)
+		b = append(session(b, i-1), '}')
+	}
+	return append(b, "}\n"...)
+}
+
+// session appends record i's session field.
+func session(b []byte, i int) []byte {
 	// i*2654435761 mod 2³² is a bijection, so no session key repeats.
-	b = append(b, `},"sess_`...)
+	b = append(b, `"sess_`...)
 	b = strconv.AppendUint(b, uint64(uint32(i)*2654435761), 16)
 	b = append(b, `":{"hits":`...)
 	b = strconv.AppendInt(b, int64(i%1000), 10)
 	b = append(b, `,"geo":[`...)
 	b = strconv.AppendInt(b, int64(i%90), 10)
-	b = append(b, `.0,2.0],"tags":{"env":"prod"}}}`+"\n"...)
-	return b
+	return append(b, `.0,2.0],"tags":{"env":"prod"}}`...)
 }
 
 // gcFolder collects garbage before it folds each chunk.
@@ -136,13 +157,29 @@ func TestBoundedFoldUnderGCPressure(t *testing.T) {
 // holds the heap in use after collection at 256k records to 1.5× its size
 // at 32k. Every record brings a new session key and a new root type, so a
 // type interner that kept every type would grow the heap with the stream.
-// Two collections empty the scanner pool, so the figure is the state the
-// stream keeps, not the number of pooled scanners that happened to
-// survive; TestKeyTableCapped bounds what a scanner's key table holds.
+// In the nested case the new key sits one level down, so each new root
+// holds a new child, and in the carried case it also holds the previous
+// record's: an interner that frees a type only with the types made beside
+// it, which hold their own children, must not let a held type keep a chain
+// of earlier records alive through them. Two collections empty the
+// scanner pool, so the figure is the state the stream keeps, not the
+// number of pooled scanners that happened to survive; TestKeyTableCapped
+// bounds what a scanner's key table holds.
 func TestBoundedHeapFlat(t *testing.T) {
 	if testing.Short() {
 		t.Skip("streams 256k records")
 	}
+	for _, c := range []struct {
+		name            string
+		nested, carried bool
+	}{{"root key", false, false}, {"nested key", true, false}, {"carried key", true, true}} {
+		t.Run(c.name, func(t *testing.T) {
+			testBoundedHeapFlat(t, &churnReader{shift: math.MaxInt, nested: c.nested, carried: c.carried})
+		})
+	}
+}
+
+func testBoundedHeapFlat(t *testing.T, shape *churnReader) {
 	const ceiling = 1.5
 	cfg := core.Default()
 	cfg.Bounds = churnBounds
@@ -158,8 +195,9 @@ func TestBoundedHeapFlat(t *testing.T) {
 	heap := map[int]float64{}
 	from := 0
 	for _, to := range []int{16 << 10, 32 << 10, 64 << 10, 128 << 10, 256 << 10} {
-		r := &churnReader{i: from, to: to, shift: math.MaxInt}
-		if _, err := Run(context.Background(), r, cfg, Plan{Options: Options{JSONL: true, Workers: 2}, Acc: acc}); err != nil {
+		r := *shape
+		r.i, r.to = from, to
+		if _, err := Run(context.Background(), &r, cfg, Plan{Options: Options{JSONL: true, Workers: 2}, Acc: acc}); err != nil {
 			t.Fatal(err)
 		}
 		heap[to] = inUse()
